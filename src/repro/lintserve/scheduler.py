@@ -24,6 +24,7 @@ makespans from measured unit costs.
 
 from __future__ import annotations
 
+import functools
 import time
 from concurrent.futures import Executor, ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -36,6 +37,7 @@ from repro.core.analysis.lint import (
     verify_target_diagnostics,
 )
 from repro.core.clauses import Target
+from repro.core.ir import Program
 from repro.core.pragma import parse_program
 from repro.errors import ReproError
 from repro.lintserve.cache import ResultCache
@@ -83,6 +85,22 @@ class UnitSpec:
         return (self.source, self.nprocs, self.extra_vars)
 
 
+@functools.lru_cache(maxsize=1)
+def _parse(source: str) -> Program | dict:
+    """The parse of one file's text, or its ``parse_error`` payload.
+
+    A file's units are generated (and handed to a worker) one after
+    another, so a one-entry memo lets every unit of a file that runs in
+    the same process share one parse — as :func:`lint_program` shares
+    one ``Program`` across its passes, which only read it.
+    """
+    try:
+        return parse_program(source)
+    except ReproError as exc:
+        line = getattr(exc, "line", None) or 0
+        return {"line": line, "message": str(exc)}
+
+
 def run_unit(spec: UnitSpec) -> dict:
     """Execute one unit (in a pool worker or inline) → result dict.
 
@@ -92,11 +110,9 @@ def run_unit(spec: UnitSpec) -> dict:
     """
     t0 = time.perf_counter()
     extra_vars = dict(spec.extra_vars) or None
-    try:
-        program = parse_program(spec.source)
-    except ReproError as exc:
-        line = getattr(exc, "line", None) or 0
-        return {"parse_error": {"line": line, "message": str(exc)},
+    program = _parse(spec.source)
+    if isinstance(program, dict):
+        return {"parse_error": dict(program),
                 "wall_s": time.perf_counter() - t0}
     swept = [Target.parse(t) for t in spec.swept]
     out: dict
