@@ -1,25 +1,30 @@
 """Compare fresh bench JSON against the committed baselines (CI gate).
 
 The perf-regression CI job reruns ``bench_engine_scaling.py --quick``,
-``bench_advisor.py``, ``bench_recovery.py`` and ``bench_lint.py`` on
-the checkout and feeds the new JSON here next to the committed
-``BENCH_engine.json`` / ``BENCH_advisor.json`` /
-``BENCH_recovery.json`` / ``BENCH_lint.json``.
-Only *deterministic modeled* quantities are gated — virtual makespans,
+``bench_advisor.py``, ``bench_recovery.py``, ``bench_lint.py`` and
+``bench_directives.py`` on the checkout and feeds the new JSON here
+next to the committed ``BENCH_engine.json`` / ``BENCH_advisor.json`` /
+``BENCH_recovery.json`` / ``BENCH_lint.json`` /
+``BENCH_directives.json``.
+Only *deterministic* quantities are gated — virtual makespans,
 scheduler heap operations, advisor savings/speedups, per-target
-modeled times and the lint farm's modeled pool speedup — never raw
-host wall-clock, which shared CI runners cannot reproduce. The two
-lint wall-clock *ratios* that are gated (warm/cold fraction, a
-sequential-throughput floor) compare same-host runs and carry generous
-absolute bounds, so runner speed cannot trip them. On an unmodified checkout every gated value matches the
-baseline exactly (the simulator is deterministic); the tolerance exists
-so legitimate model recalibrations inside the band don't block a PR.
+modeled times, the lint farm's modeled pool speedup and the Python
+calls one directive instance makes — never raw host wall-clock, which
+shared CI runners cannot reproduce. The two lint wall-clock *ratios*
+that are gated (warm/cold fraction, a sequential-throughput floor)
+compare same-host runs and carry generous absolute bounds, so runner
+speed cannot trip them. On an unmodified checkout every gated value
+matches the baseline exactly (the simulator is deterministic); the
+tolerance exists so legitimate model recalibrations inside the band
+don't block a PR.
 
 Exit status 0 = within tolerance, 1 = regression (details on stdout).
 
 Run:  python benchmarks/check_perf_regression.py \\
           --engine-baseline BENCH_engine.json --engine-new new_e.json \\
-          --advisor-baseline BENCH_advisor.json --advisor-new new_a.json
+          --advisor-baseline BENCH_advisor.json --advisor-new new_a.json \\
+          --directives-baseline BENCH_directives.json \\
+          --directives-new new_d.json
 """
 
 from __future__ import annotations
@@ -223,6 +228,38 @@ def check_lint(baseline: dict, new: dict, checker: Checker) -> None:
         new["warm"]["fraction_of_cold"])
 
 
+#: Ceiling on the Python calls into ``repro`` one ``comm_p2p`` instance
+#: makes on a rank that neither sends nor receives (the bulk of
+#: Listing 7's instances), whatever the baseline.
+DIRECTIVE_BYSTANDER_CALLS_CEILING = 35
+
+
+def check_directives(baseline: dict, new: dict, checker: Checker) -> None:
+    """Gate the directive-runtime bench: Python calls per ``comm_p2p``
+    instance may not grow (and a non-participant's stay under the
+    absolute ceiling); the WL-LSMS makespans must match exactly. The
+    host-wall overhead ratios are informational."""
+    for target, base_roles in sorted(baseline["calls_per_instance"].items()):
+        roles = new["calls_per_instance"].get(target)
+        if roles is None:
+            checker._fail(f"directives {target}: calls not measured")
+            continue
+        for role, calls in sorted(base_roles.items()):
+            checker.no_increase(f"directives {target} {role} calls",
+                                calls, roles[role])
+        checker.checked += 1
+        if roles["non_participant"] > DIRECTIVE_BYSTANDER_CALLS_CEILING:
+            checker._fail(
+                f"directives {target} non_participant calls: "
+                f"{roles['non_participant']} above the "
+                f"{DIRECTIVE_BYSTANDER_CALLS_CEILING} ceiling")
+    checker.equal("directives wllsms shape", baseline["wllsms"]["shape"],
+                  new["wllsms"]["shape"])
+    for key, makespan in sorted(baseline["wllsms"]["makespan_hex"].items()):
+        checker.equal(f"directives wllsms {key} makespan", makespan,
+                      new["wllsms"]["makespan_hex"].get(key))
+
+
 def _load(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
@@ -240,6 +277,8 @@ def main(argv=None) -> int:
     parser.add_argument("--recovery-new")
     parser.add_argument("--lint-baseline")
     parser.add_argument("--lint-new")
+    parser.add_argument("--directives-baseline")
+    parser.add_argument("--directives-new")
     parser.add_argument("--tolerance", type=float,
                         default=DEFAULT_TOLERANCE,
                         help="allowed relative degradation "
@@ -264,9 +303,14 @@ def main(argv=None) -> int:
         check_lint(_load(args.lint_baseline),
                    _load(args.lint_new), checker)
         ran = True
+    if args.directives_baseline and args.directives_new:
+        check_directives(_load(args.directives_baseline),
+                         _load(args.directives_new), checker)
+        ran = True
     if not ran:
         parser.error("nothing to compare: pass --engine-*, --advisor-*, "
-                     "--recovery-* and/or --lint-* baseline/new pairs")
+                     "--recovery-*, --lint-* and/or --directives-* "
+                     "baseline/new pairs")
 
     if checker.failures:
         print(f"\n{len(checker.failures)} regression(s) in "

@@ -33,6 +33,7 @@ exceptions:
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from typing import Any
@@ -75,6 +76,28 @@ _COMPUTE = re.compile(r"\bcompute_us\s*\(([^()]*)\)")
 #: can additionally be performed on the materialized buffer.
 _ASSIGN = re.compile(
     r"\b([A-Za-z_]\w*)\s*\[([^\][]*)\]\s*([+\-*/%&|^]|<<|>>)?=(?!=)")
+
+
+@functools.lru_cache(maxsize=4096)
+def _parse_line(line: str) -> tuple[tuple[str, ...],
+                                    tuple[tuple[str, str, str | None], ...]]:
+    """One raw-code line's ``compute_us`` expressions, and its element
+    assignments as ``(name, index, rhs)`` with ``rhs`` None for a
+    compound assignment; both in match order.
+
+    Every rank of every simulation revisits the same lines, so each
+    distinct line is scanned once.
+    """
+    computes = tuple(m.group(1) for m in _COMPUTE.finditer(line))
+    assigns: list[tuple[str, str, str | None]] = []
+    for match in _ASSIGN.finditer(line):
+        rhs: str | None = None
+        if match.group(3) is None:
+            rest = line[match.end():]
+            end = rest.find(";")
+            rhs = (rest[:end] if end != -1 else rest).strip()
+        assigns.append((match.group(1), match.group(2).strip(), rhs))
+    return computes, tuple(assigns)
 
 
 class ProgramSimError(ReproError):
@@ -157,6 +180,9 @@ def simulate_program(program: Program, nprocs: int = 8, *,
                     sanitize=bool(sanitize), faults=faults)
     if sanitize == "collect" and engine.sanitizer is not None:
         engine.sanitizer.collect = True
+    # Each comm_p2p's merged clauses, shared by all ranks of this run
+    # only: the advisor edits clauses between simulations.
+    merged: dict[int, ClauseExprs] = {}
 
     def main(env: Env) -> dict[str, list[float]] | None:
         mpi.init(env, machine)  # fix the machine model for all targets
@@ -164,7 +190,7 @@ def simulate_program(program: Program, nprocs: int = 8, *,
         variables: dict[str, Any] = {"nprocs": env.size,
                                      "size": env.size,
                                      "rank": env.rank, **extras}
-        _Executor(env, buffers, variables, default_target).run(
+        _Executor(env, buffers, variables, default_target, merged).run(
             program.nodes)
         comm_flush(env)
         if not capture:
@@ -289,12 +315,18 @@ class _Executor:
     """Replays the node tree through the runtime DSL on one rank."""
 
     def __init__(self, env: Env, buffers: dict[str, Any],
-                 variables: dict[str, Any],
-                 default_target: Target) -> None:
+                 variables: dict[str, Any], default_target: Target,
+                 merged: dict[int, ClauseExprs]) -> None:
         self.env = env
         self.buffers = buffers
+        #: The local ndarray behind each buffer.
+        self.arrays = {name: np.asarray(buf.data if hasattr(buf, "data")
+                                        else buf)
+                       for name, buf in buffers.items()}
         self.variables = variables
         self.default_target = default_target
+        #: ``id(P2PNode)`` -> its clauses with the region's merged in.
+        self.merged = merged
 
     def run(self, nodes: list[Node]) -> None:
         self._walk(nodes, None)
@@ -312,20 +344,16 @@ class _Executor:
     def _raw(self, node: RawCode) -> None:
         sanitizer = self.env.engine.sanitizer
         for offset, line in enumerate(node.lines):
-            for match in _COMPUTE.finditer(line):
-                micros = exprs.evaluate(match.group(1), self.variables)
+            computes, assigns = _parse_line(line)
+            for expr in computes:
+                micros = exprs.evaluate(expr, self.variables)
                 self.env.compute(float(micros) * 1e-6)
-            for match in _ASSIGN.finditer(line):
-                name = match.group(1)
-                index = match.group(2).strip()
+            for name, index, rhs in assigns:
                 if sanitizer is not None:
                     self._raw_write(sanitizer, name, index,
                                     node.line + offset)
-                if match.group(3) is None:
-                    rhs = line[match.end():]
-                    end = rhs.find(";")
-                    self._raw_store(name, index,
-                                    rhs[:end] if end != -1 else rhs)
+                if rhs is not None:
+                    self._raw_store(name, index, rhs)
 
     def _raw_store(self, name: str, index: str, rhs: str) -> None:
         """Perform an evaluable plain assignment on the real buffer.
@@ -335,15 +363,14 @@ class _Executor:
         C text, exactly as before — only the evaluable stores that seed
         generated programs with rank-distinct data take effect.
         """
-        buf = self.buffers.get(name)
-        if buf is None:
+        arr = self.arrays.get(name)
+        if arr is None:
             return
         try:
             idx = exprs.evaluate(index, self.variables)
-            value = exprs.evaluate(rhs.strip(), self.variables)
+            value = exprs.evaluate(rhs, self.variables)
             if isinstance(idx, bool) or not isinstance(idx, int):
                 return
-            arr = np.asarray(buf.data if hasattr(buf, "data") else buf)
             if 0 <= idx < arr.size:
                 arr[idx] = value
         except (ReproError, TypeError, ValueError):
@@ -357,10 +384,9 @@ class _Executor:
         else conservatively covers the whole buffer (mirroring the
         static side's interval widening).
         """
-        buf = self.buffers.get(name)
-        if buf is None:
+        arr = self.arrays.get(name)
+        if arr is None:
             return
-        arr = np.asarray(buf.data if hasattr(buf, "data") else buf)
         item = arr.dtype.itemsize
         try:
             idx = exprs.evaluate(index, self.variables)
@@ -385,9 +411,12 @@ class _Executor:
 
     def _p2p(self, node: P2PNode,
              region_clauses: ClauseExprs | None) -> None:
-        merged = (region_clauses.merged_into(node.clauses)
-                  if region_clauses is not None else node.clauses)
-        merged.require_complete()
+        merged = self.merged.get(id(node))
+        if merged is None:
+            merged = (region_clauses.merged_into(node.clauses)
+                      if region_clauses is not None else node.clauses)
+            merged.require_complete()
+            self.merged[id(node)] = merged
         kwargs: dict[str, Any] = {
             "sender": self._rank_of(merged, "sender"),
             "receiver": self._rank_of(merged, "receiver"),

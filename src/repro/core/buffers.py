@@ -15,7 +15,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.clauses import ClauseSet, Target
+from repro.core.clauses import Target
 from repro.errors import ClauseError, SymmetryError
 from repro.shmem.symheap import SymArray
 
@@ -45,38 +45,22 @@ def array_of(buf: np.ndarray | SymArray) -> np.ndarray:
     return buf.data if isinstance(buf, SymArray) else buf
 
 
-def element_size(buf: np.ndarray | SymArray) -> int:
-    """Element storage size (bytes) of a buffer."""
-    return array_of(buf).dtype.itemsize
+def resolve_buffers(target: Target, sbufs: list, rbufs: list,
+                    count: int | None) -> tuple[int, list, list]:
+    """Check a directive's buffer lists; return ``(count, sarrays,
+    rarrays)``.
 
-
-def length_of(buf: np.ndarray | SymArray) -> int:
-    """Element count of a buffer."""
-    return array_of(buf).size
-
-
-def infer_count(clauses: ClauseSet, sbufs: list, rbufs: list) -> int:
-    """The directive's per-buffer element count.
-
-    If ``count`` is present, use it. Otherwise at least one buffer must
-    be an array (size > 1 or explicitly shaped); the inferred size is
-    the *smallest* array length among all listed buffers
-    (Section III-B: "If more than one of the buffers is an array, the
-    message size will be the size of the smallest array").
+    Each buffer's local ndarray is resolved once, and the checks run
+    over those arrays in a fixed order: the target's allocation rule,
+    positional pairing, per-pair element sizes, then the message size.
+    ``count`` is the ``count`` clause, or ``None`` when it was omitted:
+    then at least one buffer must be an array (size > 1 or explicitly
+    shaped), and the inferred size is the *smallest* array length among
+    all listed buffers (Section III-B: "If more than one of the buffers
+    is an array, the message size will be the size of the smallest
+    array"). A transfer of ``count`` elements must fit every buffer it
+    touches.
     """
-    if clauses.has("count"):
-        return clauses.count
-    lengths = [length_of(b) for b in sbufs + rbufs]
-    arrays = [n for n in lengths if n >= 1]
-    if not arrays:
-        raise ClauseError(
-            "count was omitted but no buffer in sbuf/rbuf is an array; "
-            "provide count explicitly")
-    return min(arrays)
-
-
-def check_target_buffers(target: Target, sbufs: list, rbufs: list) -> None:
-    """Enforce per-target allocation requirements on buffer lists."""
     if target is Target.SHMEM:
         bad = [i for i, b in enumerate(rbufs) if not isinstance(b, SymArray)]
         if bad:
@@ -89,19 +73,25 @@ def check_target_buffers(target: Target, sbufs: list, rbufs: list) -> None:
             f"sbuf and rbuf must list the same number of buffers "
             f"(payloads pair up positionally); got {len(sbufs)} vs "
             f"{len(rbufs)}")
-    for i, (s, r) in enumerate(zip(sbufs, rbufs)):
-        if element_size(s) != element_size(r):
+    sarrays = [b.data if isinstance(b, SymArray) else b for b in sbufs]
+    rarrays = [b.data if isinstance(b, SymArray) else b for b in rbufs]
+    for i, (s, r) in enumerate(zip(sarrays, rarrays)):
+        if s.dtype.itemsize != r.dtype.itemsize:
             raise ClauseError(
                 f"buffer pair {i}: element sizes differ "
-                f"({element_size(s)} vs {element_size(r)} bytes); "
+                f"({s.dtype.itemsize} vs {r.dtype.itemsize} bytes); "
                 "the generated transfer would reinterpret elements")
-
-
-def check_count_fits(count: int, sbufs: list, rbufs: list) -> None:
-    """A transfer of ``count`` elements must fit every buffer it touches."""
-    for name, bufs in (("sbuf", sbufs), ("rbuf", rbufs)):
-        for i, b in enumerate(bufs):
-            if count > length_of(b):
+    if count is None:
+        arrays = [a.size for a in sarrays + rarrays if a.size >= 1]
+        if not arrays:
+            raise ClauseError(
+                "count was omitted but no buffer in sbuf/rbuf is an "
+                "array; provide count explicitly")
+        count = min(arrays)
+    for name, resolved in (("sbuf", sarrays), ("rbuf", rarrays)):
+        for i, a in enumerate(resolved):
+            if count > a.size:
                 raise ClauseError(
                     f"count {count} exceeds {name}[{i}] "
-                    f"({length_of(b)} elements)")
+                    f"({a.size} elements)")
+    return count, sarrays, rarrays

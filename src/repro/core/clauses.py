@@ -20,7 +20,7 @@ paper's:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, replace
 from typing import Any
 
 from repro.errors import ClauseError
@@ -81,6 +81,18 @@ PARAMETERS_ONLY = ("place_sync", "max_comm_iter")
 #: The four required clauses of a fully resolved ``comm_p2p`` instance.
 REQUIRED = ("sender", "receiver", "sbuf", "rbuf")
 
+#: Every clause name, in :class:`ClauseSet` field order.
+NAMES = ("sender", "receiver", "sbuf", "rbuf", "sendwhen", "receivewhen",
+         "target", "count", "place_sync", "max_comm_iter")
+_LEGAL = frozenset(NAMES)
+_REQUIRED = frozenset(REQUIRED)
+#: Instance ``__dict__`` of a ClauseSet with no clause given.
+_ALL_ABSENT = dict.fromkeys(NAMES, _ABSENT)
+#: Clauses whose values :func:`_normalize_keywords` parses or checks.
+_CHECKED = frozenset({"target", "place_sync", "count", "max_comm_iter"})
+_UNPAIRED = ("sendwhen and receivewhen must both be present or both be "
+             "omitted (Section III-B)")
+
 
 @dataclass(frozen=True)
 class ClauseSet:
@@ -90,6 +102,11 @@ class ClauseSet:
     process (``sender(rank-1)``); in the runtime DSL the caller passes
     the evaluated values. ``sbuf``/``rbuf`` are buffer *lists* (a single
     buffer may be passed bare). ``sender``/``receiver`` are world ranks.
+
+    Besides its fields, an instance carries ``_given``: the dict of the
+    clauses that were given. Building and merging work on that dict, so
+    a directive instance costs a few dict operations rather than a
+    dataclass introspection per clause.
     """
 
     sender: Any = _ABSENT
@@ -103,6 +120,23 @@ class ClauseSet:
     place_sync: Any = _ABSENT
     max_comm_iter: Any = _ABSENT
 
+    def __post_init__(self) -> None:
+        # Only the generated __init__ (direct construction, replace)
+        # lands here; build and merge fill the __dict__ in _of.
+        attrs = self.__dict__
+        given = {n: attrs[n] for n in NAMES if attrs[n] is not _ABSENT}
+        object.__setattr__(self, "_given", given)
+
+    @classmethod
+    def _of(cls, given: dict[str, Any]) -> "ClauseSet":
+        """The instance holding exactly the (validated) ``given``."""
+        cs = object.__new__(cls)
+        attrs = cs.__dict__
+        attrs.update(_ALL_ABSENT)
+        attrs.update(given)
+        attrs["_given"] = given
+        return cs
+
     # -- presence ---------------------------------------------------------
 
     def has(self, name: str) -> bool:
@@ -110,9 +144,9 @@ class ClauseSet:
         return getattr(self, name) is not _ABSENT
 
     def present(self) -> dict[str, Any]:
-        """Clauses that were given, as a dict."""
-        return {f.name: getattr(self, f.name) for f in fields(self)
-                if getattr(self, f.name) is not _ABSENT}
+        """Clauses that were given, as a dict (in field order)."""
+        given = self._given
+        return {n: given[n] for n in NAMES if n in given}
 
     # -- construction ----------------------------------------------------
 
@@ -120,51 +154,23 @@ class ClauseSet:
     def build(cls, *, directive: str, **kwargs: Any) -> "ClauseSet":
         """Validate keyword clauses for a ``comm_parameters`` (``directive
         = "parameters"``) or ``comm_p2p`` (``"p2p"``) directive."""
-        legal = {f.name for f in fields(cls)}
-        unknown = set(kwargs) - legal
-        if unknown:
+        if not _LEGAL.issuperset(kwargs):
             raise ClauseError(
-                f"unknown clause(s) {sorted(unknown)}; the directives "
-                f"accept {sorted(legal)}")
+                f"unknown clause(s) {sorted(set(kwargs) - _LEGAL)}; the "
+                f"directives accept {sorted(_LEGAL)}")
         if directive == "p2p":
-            illegal = [n for n in PARAMETERS_ONLY if n in kwargs]
-            if illegal:
+            if "place_sync" in kwargs or "max_comm_iter" in kwargs:
+                illegal = [n for n in PARAMETERS_ONLY if n in kwargs]
                 raise ClauseError(
                     f"clause(s) {illegal} may only be used with "
                     "comm_parameters (Section III-B)")
         elif directive != "parameters":
             raise ClauseError(f"unknown directive kind {directive!r}")
-        cs = cls(**kwargs)
-        cs._check_pairing()
-        cs._normalize_keywords()
-        return cs
-
-    def _check_pairing(self) -> None:
-        if self.has("sendwhen") != self.has("receivewhen"):
-            raise ClauseError(
-                "sendwhen and receivewhen must both be present or both "
-                "be omitted (Section III-B)")
-
-    def _normalize_keywords(self) -> None:
-        # frozen dataclass: use object.__setattr__ for normalization.
-        if self.has("target"):
-            object.__setattr__(self, "target", Target.parse(self.target))
-        if self.has("place_sync"):
-            object.__setattr__(self, "place_sync",
-                               SyncPlacement.parse(self.place_sync))
-        if self.has("count"):
-            count = self.count
-            if not isinstance(count, int) or isinstance(count, bool) \
-                    or count < 0:
-                raise ClauseError(
-                    f"count must evaluate to a non-negative integer, "
-                    f"got {count!r}")
-        if self.has("max_comm_iter"):
-            m = self.max_comm_iter
-            if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-                raise ClauseError(
-                    f"max_comm_iter must evaluate to a positive integer, "
-                    f"got {m!r}")
+        if ("sendwhen" in kwargs) != ("receivewhen" in kwargs):
+            raise ClauseError(_UNPAIRED)
+        if not _CHECKED.isdisjoint(kwargs):
+            _normalize_keywords(kwargs)
+        return cls._of(kwargs)
 
     # -- region/instance merging ------------------------------------------
 
@@ -175,22 +181,21 @@ class ClauseSet:
         "may provide additional assertions" which override
         (Section III-A).
         """
-        updates = {}
-        for f in fields(self):
-            if f.name in PARAMETERS_ONLY:
-                continue  # region-level only; never merged down
-            if instance.has(f.name):
-                updates[f.name] = getattr(instance, f.name)
-            elif self.has(f.name):
-                updates[f.name] = getattr(self, f.name)
-        merged = ClauseSet(**updates)
-        merged._check_pairing()
-        return merged
+        merged = self._given.copy()
+        merged.update(instance._given)
+        # Region-level only; never merged down.
+        merged.pop("place_sync", None)
+        merged.pop("max_comm_iter", None)
+        if ("sendwhen" in merged) != ("receivewhen" in merged):
+            raise ClauseError(_UNPAIRED)
+        return ClauseSet._of(merged)
 
     # -- final validation of a resolvable p2p instance --------------------
 
     def require_p2p_complete(self) -> None:
         """Check the four required clauses of a resolved instance."""
+        if self._given.keys() >= _REQUIRED:
+            return
         missing = [n for n in REQUIRED if not self.has(n)]
         if missing:
             raise ClauseError(
@@ -218,3 +223,24 @@ class ClauseSet:
     def with_clauses(self, **kwargs: Any) -> "ClauseSet":
         """A copy with additional/overridden clauses (for tooling)."""
         return replace(self, **kwargs)
+
+
+def _normalize_keywords(given: dict[str, Any]) -> None:
+    """Parse keyword clauses and range-check integer ones, in place."""
+    if "target" in given:
+        given["target"] = Target.parse(given["target"])
+    if "place_sync" in given:
+        given["place_sync"] = SyncPlacement.parse(given["place_sync"])
+    if "count" in given:
+        count = given["count"]
+        if not isinstance(count, int) or isinstance(count, bool) \
+                or count < 0:
+            raise ClauseError(
+                f"count must evaluate to a non-negative integer, "
+                f"got {count!r}")
+    if "max_comm_iter" in given:
+        m = given["max_comm_iter"]
+        if not isinstance(m, int) or isinstance(m, bool) or m < 1:
+            raise ClauseError(
+                f"max_comm_iter must evaluate to a positive integer, "
+                f"got {m!r}")

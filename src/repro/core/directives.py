@@ -38,7 +38,12 @@ from __future__ import annotations
 from typing import Any
 
 from repro.core import buffers as bufmod
-from repro.core.clauses import ClauseSet, SyncPlacement
+from repro.core.clauses import (
+    DEFAULT_TARGET,
+    ClauseSet,
+    SyncPlacement,
+    Target,
+)
 from repro.core.lower.base import get_backend
 from repro.core.region import PendingComm, RegionState
 from repro.errors import ClauseError, DirectiveError
@@ -60,8 +65,8 @@ class CommParameters:
     def note_instance(self) -> None:
         """Count one comm_p2p execution against max_comm_iter."""
         self.instance_count += 1
-        if self.clauses.has("max_comm_iter") \
-                and self.instance_count > self.clauses.max_comm_iter:
+        limit = self.clauses._given.get("max_comm_iter")
+        if limit is not None and self.instance_count > limit:
             raise ClauseError(
                 f"comm_p2p executed {self.instance_count} times in a "
                 f"region declaring max_comm_iter"
@@ -79,8 +84,9 @@ class CommParameters:
         self._state = RegionState.of(self.env)
         self._state.on_region_enter(self.env, self.place_sync)
         self._state.stack.append(self)
-        self.env.trace("dir.region_enter",
-                       place_sync=self.place_sync.value)
+        if self.env.engine.trace is not None:
+            self.env.trace("dir.region_enter",
+                           place_sync=self.place_sync.value)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
@@ -96,7 +102,8 @@ class CommParameters:
             # handles so the error propagates undisturbed.
             return
         state.on_region_exit(self.env, self.pending, self.place_sync)
-        self.env.trace("dir.region_exit")
+        if self.env.engine.trace is not None:
+            self.env.trace("dir.region_exit")
 
 
 class CommP2P:
@@ -110,8 +117,7 @@ class CommP2P:
 
     # -- resolution ---------------------------------------------------------
 
-    def _resolve(self) -> ClauseSet:
-        state = RegionState.of(self.env)
+    def _resolve(self, state: RegionState) -> ClauseSet:
         self.region = state.stack[-1] if state.stack else None
         if self.region is not None:
             merged = self.region.clauses.merged_into(self.own_clauses)
@@ -124,24 +130,31 @@ class CommP2P:
 
     def __enter__(self) -> "CommP2P":
         env = self.env
-        merged = self._resolve()
+        state = RegionState.of(env)
+        merged = self._resolve(state)
+        given = merged._given
 
-        sends_here = merged.effective_sendwhen
-        recvs_here = merged.effective_receivewhen
-        sbufs = bufmod.as_buffer_list(merged.sbuf, "sbuf")
-        rbufs = bufmod.as_buffer_list(merged.rbuf, "rbuf")
-        target = merged.effective_target
-        bufmod.check_target_buffers(target, sbufs, rbufs)
-        count = bufmod.infer_count(merged, sbufs, rbufs)
-        bufmod.check_count_fits(count, sbufs, rbufs)
+        # Every check below runs on every rank, participating or not.
+        sends_here = bool(given["sendwhen"]) if "sendwhen" in given else True
+        recvs_here = (bool(given["receivewhen"]) if "receivewhen" in given
+                      else True)
+        sbufs = bufmod.as_buffer_list(given["sbuf"], "sbuf")
+        rbufs = bufmod.as_buffer_list(given["rbuf"], "rbuf")
+        target = given.get("target", DEFAULT_TARGET)
+        count, sarrays, rarrays = bufmod.resolve_buffers(
+            target, sbufs, rbufs, given.get("count"))
 
-        backend = get_backend(env, target)
-        if self.region is not None:
-            self.region.note_instance()
-        pending = (self.region.pending if self.region is not None
-                   else PendingComm())
-        if self.region is None:
-            self._standalone_pending = pending
+        # Keyed by identity: Target members are singletons, and an
+        # Enum's __hash__ is a Python-level call.
+        backend = state.backends.get(id(target))
+        if backend is None:
+            backend = state.backends[id(target)] = get_backend(env, target)
+        region = self.region
+        if region is not None:
+            region.note_instance()
+            pending = region.pending
+        else:
+            pending = self._standalone_pending = PendingComm()
 
         # Adjacent-directive independence (Section III-A): an instance
         # whose buffers overlap pending communication cannot share its
@@ -149,18 +162,19 @@ class CommP2P:
         # Only the buffers of roles this rank actually plays are live
         # here: a pure sender's rbuf (or vice versa) is untouched by
         # its communication.
-        local_arrays = []
         if sends_here:
-            local_arrays.extend(bufmod.array_of(b) for b in sbufs)
-        if recvs_here:
-            local_arrays.extend(bufmod.array_of(b) for b in rbufs)
+            local_arrays = sarrays + rarrays if recvs_here else sarrays
+        else:
+            local_arrays = rarrays if recvs_here else []
+        if not local_arrays:
+            # A bystander: nothing to flush and nothing to post.
+            return self._done(target, count, 0, 0)
         # All unsynchronized communication on this rank is pending, not
         # just the innermost region's: carried sync from earlier
         # regions (place_sync deferral) and enclosing regions of a
         # nested chain hold live handles too. The downgrade CI020
         # promises must flush every aliasing set, or the deferred
         # delivery races with this directive's transfer.
-        state = RegionState.of(env)
         if state.carried.overlaps(local_arrays):
             env.trace("dir.dependent_flush")
             state.flush_carry(env)
@@ -180,13 +194,13 @@ class CommP2P:
         # Receives are declared before sends so self-transfers and
         # one-sided exposure always find the destination ready.
         if recvs_here:
-            if not merged.has("sender"):  # pragma: no cover - required
+            if "sender" not in given:  # pragma: no cover - required
                 raise ClauseError("receivewhen without sender")
-            src = self._check_rank(merged.sender, "sender")
+            src = self._check_rank(given["sender"], "sender")
             for rb in rbufs:
                 my_recvs.append(backend.post_recv(src, rb, count))
         if sends_here:
-            dst = self._check_rank(merged.receiver, "receiver")
+            dst = self._check_rank(given["receiver"], "receiver")
             for sb, rb in zip(sbufs, rbufs):
                 my_sends.append(backend.post_send(dst, sb, rb, count))
 
@@ -201,8 +215,14 @@ class CommP2P:
                 bytes=sum(h.nbytes for h in (*my_sends, *my_recvs)),
                 **({} if label is None else {"label": label}))
             pending.note_window(env)
-        env.trace("dir.p2p", target=target.value, count=count,
-                  sends=len(my_sends), recvs=len(my_recvs))
+        return self._done(target, count, len(my_sends), len(my_recvs))
+
+    def _done(self, target: Target, count: int, sends: int,
+              recvs: int) -> "CommP2P":
+        """Trace the instance (when tracing is on) and return it."""
+        if self.env.engine.trace is not None:
+            self.env.trace("dir.p2p", target=target.value, count=count,
+                           sends=sends, recvs=recvs)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:

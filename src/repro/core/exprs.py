@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import ast
 import functools
+import threading
 from types import CodeType
 from typing import Any, NamedTuple
 
@@ -146,6 +147,10 @@ class _Compiled(NamedTuple):
     error: str = ""
 
 
+#: Serializes :func:`_compile` misses (see there).
+_COMPILE_LOCK = threading.Lock()
+
+
 @functools.lru_cache(maxsize=1024)
 def _compile(expr: str) -> _Compiled:
     """Translate, parse, validate and compile ``expr`` once.
@@ -153,31 +158,39 @@ def _compile(expr: str) -> _Compiled:
     Errors are returned as values: ``lru_cache`` does not cache a
     raised exception, and the unknown-name check must still run first
     on every call.
+
+    The body runs under :data:`_COMPILE_LOCK`: CPython 3.11 keeps the
+    AST conversion's recursion depth in per-interpreter state, and two
+    threads parsing or compiling at once (a garbage collection pass can
+    switch threads mid-conversion) corrupt it into ``SystemError:
+    AST constructor recursion depth mismatch``. Cache hits never enter
+    this function, so only misses serialize.
     """
-    try:
-        py = c_to_python(expr).strip()
-    except PragmaSyntaxError as exc:
-        return _Compiled(None, (), None, str(exc))
-    try:
-        tree = ast.parse(py, mode="eval")
-    except SyntaxError as exc:
-        return _Compiled(None, (), None,
-                         f"cannot parse clause expression {expr!r}: "
-                         f"{exc.msg}")
-    nodes = list(ast.walk(tree))
-    names = frozenset(n.id for n in nodes if isinstance(n, ast.Name))
-    checked: list[str] = []
-    for node in nodes:
-        if not isinstance(node, _ALLOWED_NODES):
-            return _Compiled(None, tuple(checked), names,
-                             f"clause expression {expr!r} uses "
-                             f"unsupported syntax "
-                             f"({type(node).__name__})")
-        if isinstance(node, ast.Name):
-            checked.append(node.id)
-    guarded = ast.fix_missing_locations(_Guard().visit(tree))
-    return _Compiled(compile(guarded, "<clause>", "eval"),
-                     tuple(checked), names)
+    with _COMPILE_LOCK:
+        try:
+            py = c_to_python(expr).strip()
+        except PragmaSyntaxError as exc:
+            return _Compiled(None, (), None, str(exc))
+        try:
+            tree = ast.parse(py, mode="eval")
+        except SyntaxError as exc:
+            return _Compiled(None, (), None,
+                             f"cannot parse clause expression {expr!r}: "
+                             f"{exc.msg}")
+        nodes = list(ast.walk(tree))
+        names = frozenset(n.id for n in nodes if isinstance(n, ast.Name))
+        checked: list[str] = []
+        for node in nodes:
+            if not isinstance(node, _ALLOWED_NODES):
+                return _Compiled(None, tuple(checked), names,
+                                 f"clause expression {expr!r} uses "
+                                 f"unsupported syntax "
+                                 f"({type(node).__name__})")
+            if isinstance(node, ast.Name):
+                checked.append(node.id)
+        guarded = ast.fix_missing_locations(_Guard().visit(tree))
+        return _Compiled(compile(guarded, "<clause>", "eval"),
+                         tuple(checked), names)
 
 
 def evaluate(expr: str, variables: dict[str, Any]) -> Any:

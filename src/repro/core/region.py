@@ -139,15 +139,17 @@ class RegionState:
         self.carried = PendingComm()
         #: The placement policy that created the carry.
         self.carry_mode: SyncPlacement | None = None
+        #: This rank's backend per target, keyed by ``id(target)`` (see
+        #: :func:`repro.core.lower.base.get_backend`).
+        self.backends: dict[int, Backend] = {}
 
     @classmethod
     def of(cls, env: "Env") -> "RegionState":
-        """This rank's state record (created on first use)."""
-        states = env.engine.services.setdefault(_SERVICE_KEY, {})
-        st = states.get(env.rank)
+        """This rank's state record (created on first use, kept on the
+        rank's ``Env``)."""
+        st = env.services.get(_SERVICE_KEY)
         if st is None:
-            st = cls()
-            states[env.rank] = st
+            st = env.services[_SERVICE_KEY] = cls()
         return st
 
     def flush_carry(self, env: "Env") -> None:

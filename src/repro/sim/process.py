@@ -31,6 +31,9 @@ class Env:
     def __init__(self, engine: "Engine", proc: "Proc"):
         self._engine = engine
         self._proc = proc
+        #: Per-rank counterpart of ``Engine.services``: libraries keep
+        #: this rank's state here (e.g. the directive region state).
+        self.services: dict[str, Any] = {}
 
     # ------------------------------------------------------------------
     # Identity & time

@@ -117,6 +117,40 @@ class TestChecker:
                          "--engine-new", str(new)]) == 1
 
 
+def _directives_report(bystander=17, makespan="0x1.0p-3"):
+    roles = {"sender": 60, "receiver": 40, "non_participant": bystander}
+    return {"calls_per_instance": {"TARGET_COMM_MPI_2SIDE": roles},
+            "wllsms": {"shape": [4, 32, 8],
+                       "makespan_hex": {"original": "0x1.0p-2",
+                                        "TARGET_COMM_SHMEM": makespan}}}
+
+
+class TestDirectivesGate:
+    def test_identical_reports_pass(self):
+        checker = cpr.Checker(0.25)
+        cpr.check_directives(_directives_report(), _directives_report(),
+                             checker)
+        assert not checker.failures
+
+    def test_call_growth_fails(self):
+        checker = cpr.Checker(0.25)
+        cpr.check_directives(_directives_report(bystander=10),
+                             _directives_report(bystander=13), checker)
+        assert any("non_participant calls" in f for f in checker.failures)
+
+    def test_bystander_ceiling_holds_whatever_the_baseline(self):
+        checker = cpr.Checker(0.25)
+        cpr.check_directives(_directives_report(bystander=34),
+                             _directives_report(bystander=36), checker)
+        assert any("ceiling" in f for f in checker.failures)
+
+    def test_makespan_must_match_exactly(self):
+        checker = cpr.Checker(0.25)
+        nudged = _directives_report(makespan="0x1.0000000000001p-3")
+        cpr.check_directives(_directives_report(), nudged, checker)
+        assert any("makespan" in f for f in checker.failures)
+
+
 class TestCommittedBaselineReproducibility:
     def test_p33_point_matches_committed_engine_baseline(self):
         """An unmodified checkout reproduces the committed modeled
@@ -142,3 +176,14 @@ class TestCommittedBaselineReproducibility:
         with open(os.path.join(_ROOT, "BENCH_recovery.json")) as fh:
             baseline = json.load(fh)
         assert br.run_bench() == baseline
+
+    def test_directive_calls_match_committed_baseline(self):
+        """Calls per comm_p2p instance are deterministic: a fresh count
+        reproduces BENCH_directives.json exactly."""
+        import bench_directives as bd
+        from repro.core import Target
+
+        with open(os.path.join(_ROOT, "BENCH_directives.json")) as fh:
+            baseline = json.load(fh)["calls_per_instance"]
+        fresh = {t.value: bd.instance_calls(t) for t in Target}
+        assert fresh == baseline

@@ -27,6 +27,30 @@ def run(nprocs, fn, *, model=None, trace=False):
     return eng.run(main), eng
 
 
+def raised(nprocs, fn):
+    """(rank, original exception) of the run's failure."""
+    with pytest.raises(SimProcessError) as ei:
+        run(nprocs, fn)
+    return ei.value.rank, ei.value.original
+
+
+#: Who runs a faulty directive: ranks that all take part, or with rank
+#: 0 as a bystander (``sendwhen=receivewhen=False``) beside a sending
+#: rank 1 and a receiving rank 2. Every clause and buffer check runs on
+#: a bystander too, so the same rank fails with the same message
+#: either way. Each misuse test runs both ways.
+BYSTANDER = (False, True)
+
+
+def roles(env, bystander, sender=0, receiver=1):
+    """``sendwhen``/``receivewhen``: the given pair, or with rank 0 a
+    bystander beside sender 1 and receiver 2."""
+    if bystander:
+        sender, receiver = 1, 2
+    return {"sendwhen": env.rank == sender,
+            "receivewhen": env.rank == receiver}
+
+
 class TestListing1Ring:
     """Listing 1: ring pattern with only the required clauses."""
 
@@ -170,14 +194,20 @@ class TestClauseResolution:
         assert res.values[1] == 0.0
 
     def test_rank_out_of_world_rejected(self):
-        def prog(env):
-            with comm_p2p(env, sender=0, receiver=99,
-                          sbuf=np.zeros(1), rbuf=np.zeros(1)):
-                pass
+        for bystander in BYSTANDER:
+            def prog(env):
+                with comm_p2p(env, sender=0, receiver=99,
+                              sbuf=np.zeros(1), rbuf=np.zeros(1),
+                              **roles(env, bystander)):
+                    pass
 
-        with pytest.raises(SimProcessError) as ei:
-            run(2, prog)
-        assert isinstance(ei.value.original, ClauseError)
+            rank, err = raised(3, prog)
+            # A rank clause is checked for the roles a rank plays: a
+            # bystander sends to no one, so the first sender fails.
+            assert rank == (1 if bystander else 0)
+            assert isinstance(err, ClauseError)
+            assert str(err) == ("receiver evaluates to rank 99, outside the "
+                                "0..2 world")
 
 
 class TestCountInference:
@@ -213,27 +243,32 @@ class TestCountInference:
         assert sum(res.values[1][2:]) == 0.0
 
     def test_count_exceeding_buffer_rejected(self):
-        def prog(env):
-            with comm_p2p(env, sender=0, receiver=1,
-                          sendwhen=env.rank == 0,
-                          receivewhen=env.rank == 1,
-                          sbuf=np.zeros(2), rbuf=np.zeros(2), count=5):
-                pass
+        for bystander in BYSTANDER:
+            def prog(env):
+                with comm_p2p(env, sender=0, receiver=1,
+                              sbuf=np.zeros(2), rbuf=np.zeros(2), count=5,
+                              **roles(env, bystander)):
+                    pass
 
-        with pytest.raises(SimProcessError) as ei:
-            run(2, prog)
-        assert isinstance(ei.value.original, ClauseError)
+            rank, err = raised(3, prog)
+            assert rank == 0
+            assert isinstance(err, ClauseError)
+            assert str(err) == "count 5 exceeds sbuf[0] (2 elements)"
 
     def test_mismatched_buffer_list_lengths_rejected(self):
-        def prog(env):
-            with comm_p2p(env, sender=0, receiver=1,
-                          sbuf=[np.zeros(1), np.zeros(1)],
-                          rbuf=np.zeros(1)):
-                pass
+        for bystander in BYSTANDER:
+            def prog(env):
+                with comm_p2p(env, sender=0, receiver=1,
+                              sbuf=[np.zeros(1), np.zeros(1)],
+                              rbuf=np.zeros(1), **roles(env, bystander)):
+                    pass
 
-        with pytest.raises(SimProcessError) as ei:
-            run(2, prog)
-        assert isinstance(ei.value.original, ClauseError)
+            rank, err = raised(3, prog)
+            assert rank == 0
+            assert isinstance(err, ClauseError)
+            assert str(err) == (
+                "sbuf and rbuf must list the same number of buffers "
+                "(payloads pair up positionally); got 2 vs 1")
 
 
 class TestBufferLists:
@@ -291,15 +326,21 @@ class TestTargets:
 
     def test_shmem_target_rejects_plain_rbuf(self):
         """Section III-B: SHMEM buffers must be symmetric objects."""
-        def prog(env):
-            with comm_p2p(env, sender=0, receiver=1,
-                          sbuf=np.zeros(2), rbuf=np.zeros(2),
-                          target="TARGET_COMM_SHMEM"):
-                pass
+        for bystander in BYSTANDER:
+            def prog(env):
+                with comm_p2p(env, sender=0, receiver=1,
+                              sbuf=np.zeros(2), rbuf=np.zeros(2),
+                              target="TARGET_COMM_SHMEM",
+                              **roles(env, bystander)):
+                    pass
 
-        with pytest.raises(SimProcessError) as ei:
-            run(2, prog)
-        assert isinstance(ei.value.original, SymmetryError)
+            rank, err = raised(3, prog)
+            assert rank == 0
+            assert isinstance(err, SymmetryError)
+            assert str(err) == (
+                "TARGET_COMM_SHMEM requires every rbuf entry to be a "
+                "symmetric data object (shmem.malloc); entries [0] are plain "
+                "arrays (Section III-B)")
 
     def test_mpi1s_generates_no_two_sided_traffic(self):
         def prog(env):

@@ -27,6 +27,28 @@ def run(nprocs, fn):
     return eng.run(main), eng
 
 
+def raised(nprocs, fn):
+    """(rank, original exception) of the run's failure."""
+    with pytest.raises(SimProcessError) as ei:
+        run(nprocs, fn)
+    return ei.value.rank, ei.value.original
+
+
+#: Who runs a faulty directive: rank 0 alone as a participant, or rank
+#: 0 as a bystander (``sendwhen=receivewhen=False``) beside a sending
+#: rank 1. Every clause and buffer check runs on a bystander too, so
+#: the same rank fails with the same message either way. Each misuse
+#: test runs both ways.
+BYSTANDER = (False, True)
+
+
+def roles(env, bystander):
+    """Extra clauses making rank 0 a bystander (when asked)."""
+    if not bystander:
+        return {}
+    return {"sendwhen": env.rank == 1, "receivewhen": False}
+
+
 class TestEnvMisuse:
     def test_env_used_from_wrong_rank_rejected(self):
         stash = {}
@@ -88,24 +110,31 @@ class TestDirectiveMisuse:
         assert res.values[0] == "ok"
 
     def test_non_buffer_sbuf_rejected(self):
-        def prog(env):
-            with comm_p2p(env, sender=0, receiver=0,
-                          sbuf="not a buffer", rbuf=np.zeros(1)):
-                pass
+        for bystander in BYSTANDER:
+            def prog(env):
+                with comm_p2p(env, sender=0, receiver=0,
+                              sbuf="not a buffer", rbuf=np.zeros(1),
+                              **roles(env, bystander)):
+                    pass
 
-        with pytest.raises(SimProcessError) as ei:
-            run(1, prog)
-        assert isinstance(ei.value.original, ClauseError)
+            rank, err = raised(1 + bystander, prog)
+            assert rank == 0
+            assert isinstance(err, ClauseError)
+            assert str(err) == ("sbuf must be a buffer or a list of buffers; "
+                                "got str")
 
     def test_empty_buffer_list_rejected(self):
-        def prog(env):
-            with comm_p2p(env, sender=0, receiver=0,
-                          sbuf=[], rbuf=np.zeros(1)):
-                pass
+        for bystander in BYSTANDER:
+            def prog(env):
+                with comm_p2p(env, sender=0, receiver=0,
+                              sbuf=[], rbuf=np.zeros(1),
+                              **roles(env, bystander)):
+                    pass
 
-        with pytest.raises(SimProcessError) as ei:
-            run(1, prog)
-        assert isinstance(ei.value.original, ClauseError)
+            rank, err = raised(1 + bystander, prog)
+            assert rank == 0
+            assert isinstance(err, ClauseError)
+            assert str(err) == "sbuf must list at least one buffer"
 
     def test_non_int_receiver_rejected(self):
         def prog(env):
@@ -118,15 +147,20 @@ class TestDirectiveMisuse:
         assert isinstance(ei.value.original, ClauseError)
 
     def test_mismatched_element_sizes_rejected(self):
-        def prog(env):
-            with comm_p2p(env, sender=0, receiver=0,
-                          sbuf=np.zeros(4, dtype=np.float64),
-                          rbuf=np.zeros(4, dtype=np.int32)):
-                pass
+        for bystander in BYSTANDER:
+            def prog(env):
+                with comm_p2p(env, sender=0, receiver=0,
+                              sbuf=np.zeros(4, dtype=np.float64),
+                              rbuf=np.zeros(4, dtype=np.int32),
+                              **roles(env, bystander)):
+                    pass
 
-        with pytest.raises(SimProcessError) as ei:
-            run(1, prog)
-        assert isinstance(ei.value.original, ClauseError)
+            rank, err = raised(1 + bystander, prog)
+            assert rank == 0
+            assert isinstance(err, ClauseError)
+            assert str(err) == (
+                "buffer pair 0: element sizes differ (8 vs 4 bytes); the "
+                "generated transfer would reinterpret elements")
 
 
 class TestMaxCommIter:
@@ -148,22 +182,29 @@ class TestMaxCommIter:
         assert res.values[1] == [0.0, 1.0, 2.0]
 
     def test_exceeding_bound_rejected(self):
-        def prog(env):
-            out = np.arange(4.0)
-            inb = np.zeros(4)
-            with comm_parameters(env, sender=0, receiver=1,
-                                 sendwhen=env.rank == 0,
-                                 receivewhen=env.rank == 1,
-                                 count=1, max_comm_iter=2):
-                for p in range(4):
-                    with comm_p2p(env, sbuf=out[p:p + 1],
-                                  rbuf=inb[p:p + 1]):
-                        pass
+        for bystander in BYSTANDER:
+            # As a bystander, rank 0 sits beside a sender 1 and receiver 2.
+            sender, receiver = (1, 2) if bystander else (0, 1)
 
-        with pytest.raises(SimProcessError) as ei:
-            run(2, prog)
-        assert isinstance(ei.value.original, ClauseError)
-        assert "max_comm_iter" in str(ei.value.original)
+            def prog(env):
+                out = np.arange(4.0)
+                inb = np.zeros(4)
+                with comm_parameters(env, sender=sender, receiver=receiver,
+                                     sendwhen=env.rank == sender,
+                                     receivewhen=env.rank == receiver,
+                                     count=1, max_comm_iter=2):
+                    for p in range(4):
+                        with comm_p2p(env, sbuf=out[p:p + 1],
+                                      rbuf=inb[p:p + 1]):
+                            pass
+
+            rank, err = raised(2 + bystander, prog)
+            assert rank == 0
+            assert isinstance(err, ClauseError)
+            assert str(err) == (
+                "comm_p2p executed 3 times in a region declaring "
+                "max_comm_iter(2); the generated synchronization "
+                "bookkeeping would overflow (Section III-B)")
 
     def test_bound_resets_per_region_entry(self):
         def prog(env):

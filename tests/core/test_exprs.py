@@ -1,6 +1,7 @@
 """Safe clause-expression evaluation."""
 
 import ast
+import gc
 import sys
 import threading
 
@@ -241,6 +242,50 @@ class TestCompileOnce:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
+        assert errors == []
+
+    def test_gc_finalizers_mid_compile(self):
+        # A collection that runs Python finalizers can switch threads in
+        # the middle of an AST conversion; unserialized, CPython 3.11
+        # then raises SystemError("AST constructor recursion depth
+        # mismatch") on one of the racing threads.
+        class Cyclic:
+            def __init__(self):
+                self.me = self
+
+            def __del__(self):
+                sum(range(20))
+
+        errors = []
+
+        def worker(rank, texts):
+            try:
+                for text in texts:
+                    Cyclic()
+                    evaluate(text, {"rank": rank, "nprocs": 7})
+            except Exception as exc:  # pragma: no cover - reported
+                errors.append(exc)
+
+        thresholds = gc.get_threshold()
+        interval = sys.getswitchinterval()
+        gc.set_threshold(10, 2, 2)
+        sys.setswitchinterval(1e-6)
+        try:
+            for rep in range(3):
+                exprs._compile.cache_clear()
+                texts = [f"(rank*{k}+{rep})%nprocs" for k in range(200)]
+                threads = [threading.Thread(target=worker,
+                                            args=(r, texts))
+                           for r in range(16)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+            gc.set_threshold(*thresholds)
+            gc.collect()
         assert errors == []
 
 
