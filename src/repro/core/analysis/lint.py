@@ -14,7 +14,9 @@ Findings are :class:`~repro.core.analysis.codes.Diagnostic` records
 with stable ``CI``-prefixed codes; :func:`render_json` and
 :func:`render_sarif` serialize a report for tooling (SARIF 2.1.0 for
 code-scanning UIs), and the ``repro-lint`` console entry point
-(:mod:`repro.core.pragma.__main__`) drives all of it from the shell.
+(:mod:`repro.core.pragma.__main__`) drives all of it from the shell
+through the sharded lint service, with :func:`lint_program` as the
+reference its output must match.
 """
 
 from __future__ import annotations
@@ -216,9 +218,10 @@ def lint_program(program: Program, nprocs: int = 8,
     :func:`structure_report`, one :func:`verify_target_diagnostics`
     per swept target, :func:`advise_diagnostics` — merged by
     :func:`collapse_across_targets` + :func:`finalize_report`. The
-    sharded lint service (:mod:`repro.lintserve`) runs the same units
-    in worker processes and merges them with the same functions, which
-    is what makes its output byte-identical to this sequential path.
+    ``repro-lint`` driver runs the same units through the sharded lint
+    service (:mod:`repro.lintserve`), inline or in worker processes,
+    and merges them with the same functions; this function is the
+    reference its output is held byte-identical to.
     """
     swept = list(targets) if targets else list(Target)
     plan = plan_synchronization(program)
@@ -311,8 +314,8 @@ def collapse_across_targets(per_target: dict[str, list[Diagnostic]],
     on every swept target is target-independent: collapse to
     ``target="*"``. ``per_target`` maps target *values* to the
     diagnostics of that target's verify unit; ``swept`` fixes the
-    iteration order (first-seen order decides output order, exactly as
-    the sequential sweep produced it).
+    iteration order (first-seen order decides output order, as in
+    :func:`lint_program`'s sweep).
     """
     grouped: dict[tuple[str, int, int | None, str],
                   tuple[Diagnostic, list[str]]] = {}
@@ -348,8 +351,8 @@ def finalize_report(report: LintReport,
 
     Appends the collapsed verifier findings and the advisories to the
     structure report, drops shadowed findings, and sorts — the last
-    word on report ordering, shared by the sequential and sharded
-    paths.
+    word on report ordering, shared by :func:`lint_program` and the
+    sharded lint service.
     """
     report.diagnostics.extend(verifier)
     report.diagnostics.extend(advisories)

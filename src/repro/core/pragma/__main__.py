@@ -21,12 +21,23 @@ the CI1xx performance advisor, and ``--fix`` / ``--fix-dry-run`` run
 the proof-carrying auto-fix engine (every rewrite must re-verify
 CI0xx-clean on all lowering targets and must not regress the modeled
 time before it is accepted).
+
+Every lint goes through one driver, :func:`run_request`: ``main_lint``
+parses its arguments into one :class:`~repro.lintserve.LintRequest`
+and either runs it in-process (through
+:func:`repro.lintserve.lint_sources`, inline at the default
+``--jobs 1``) or, with ``--socket``, sends it to the daemon, which
+runs the same function. :func:`~repro.core.analysis.lint.lint_program`
+is the independent reference the tests hold that driver to.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
+import os
 import sys
+from concurrent.futures import Executor
 
 from repro.core.analysis import (
     FixResult,
@@ -40,7 +51,6 @@ from repro.core.analysis import (
     render_sarif,
     validate_matching,
 )
-from repro.core.analysis.codes import make
 from repro.core.analysis.independence import base_identifier
 from repro.core.analysis.lint import LintReport
 from repro.core.clauses import Target
@@ -49,6 +59,13 @@ from repro.core.ir import BufferDecl, P2PNode, Program
 from repro.core.pragma import parse_program
 from repro.dtypes.primitives import DOUBLE
 from repro.errors import ReproError
+from repro.lintserve import (
+    LintDaemon,
+    LintRequest,
+    ResultCache,
+    lint_sources,
+    request_over_socket,
+)
 
 _TARGETS = {
     "mpi2s": Target.MPI_2SIDE,
@@ -195,10 +212,10 @@ def render_reports(reports: list[LintReport], fmt: str,
                    fixes: dict[str, FixResult] | None = None) -> str:
     """Render lint reports exactly as the CLI prints them.
 
-    The single formatting authority for the sequential path, the
-    sharded ``--jobs`` path and the daemon: all three emit this
-    string (trailing newline included), which is what "byte-identical
-    output" means mechanically.
+    The single formatting authority for every ``repro-lint`` path
+    (in-process at any ``--jobs``/``--cache-dir``, and the daemon):
+    each emits this string (trailing newline included), which is what
+    "byte-identical output" means mechanically.
     """
     if fmt == "json":
         return render_json(reports, fixes=fixes or None) + "\n"
@@ -258,8 +275,8 @@ def main_lint(argv: list[str] | None = None) -> int:
         "sharded lint service (repro.lintserve; docs/LINTSERVE.md)")
     service.add_argument("--jobs", type=int, default=None, metavar="N",
                          help="fan (file x target) analysis units over "
-                              "N worker processes; output stays "
-                              "byte-identical to the sequential path")
+                              "N worker processes (default 1: inline); "
+                              "output does not depend on N")
     service.add_argument("--cache-dir", metavar="DIR", default=None,
                          help="memoize unit results on disk (keyed by "
                               "content hash + analysis-version salt); "
@@ -282,8 +299,6 @@ def main_lint(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.serve or args.shutdown:
         return _daemon_main(args, parser)
-    if args.socket is not None:
-        return _client_main(args, parser)
     if not args.inputs and not args.catalog:
         parser.print_usage(sys.stderr)
         print("repro-lint: error: no inputs (give files or --catalog)",
@@ -294,147 +309,138 @@ def main_lint(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"repro-lint: error: {exc}", file=sys.stderr)
         return 2
-    do_fix = args.fix or args.fix_dry_run
-    advise = args.advise or do_fix
-    targets = [_TARGETS[args.target]] if args.target else None
-    if args.jobs is not None or args.cache_dir is not None:
-        return _service_main(args, extra_vars, targets, advise, do_fix)
+    fix = "apply" if args.fix else "dry-run" if args.fix_dry_run else None
+    request = LintRequest(
+        inputs=list(args.inputs), cwd=os.getcwd(),
+        nprocs=args.nprocs, vars=extra_vars,
+        target=_TARGETS[args.target].value if args.target else None,
+        advise=args.advise or fix is not None, catalog=args.catalog,
+        format=args.format, fail_on=args.fail_on)
 
-    reports: list[LintReport] = []
-    fixes: dict[str, FixResult] = {}
-    for path in args.inputs:
+    if args.socket is None:
+        cache = (ResultCache(args.cache_dir)
+                 if args.cache_dir is not None else None)
+        response = run_request(request, jobs=args.jobs or 1,
+                               cache=cache, fix=fix)
+    elif fix is not None:
+        print("repro-lint: error: --fix/--fix-dry-run are not "
+              "supported over the daemon (run them locally)",
+              file=sys.stderr)
+        return 2
+    else:
         try:
-            with open(path, encoding="utf-8") as fh:
-                source = fh.read()
+            response = request_over_socket(args.socket,
+                                           request.as_dict())
         except OSError as exc:
-            print(f"repro-lint: error: {exc}", file=sys.stderr)
+            print(f"repro-lint: error: cannot reach daemon at "
+                  f"{args.socket}: {exc}", file=sys.stderr)
             return 2
-        try:
-            program = parse_program(source)
-        except ReproError as exc:
-            # The file never reached analysis: report the parse error
-            # as a CI000 diagnostic so JSON/SARIF stay well-formed.
-            line = getattr(exc, "line", None) or 0
-            report = LintReport(path=path)
-            report.diagnostics.append(make("CI000", line, str(exc)))
-            reports.append(report)
-            continue
-        reports.append(lint_program(program, nprocs=args.nprocs,
-                                    extra_vars=extra_vars or None,
-                                    path=path, targets=targets,
-                                    advise=advise))
-        if do_fix:
-            result = fix_source(source, nprocs=args.nprocs,
-                                extra_vars=extra_vars or None)
-            fixes[path] = result
-            if args.fix and result.changed:
-                try:
-                    with open(path, "w", encoding="utf-8") as fh:
-                        fh.write(result.source)
-                except OSError as exc:
-                    print(f"repro-lint: error: {exc}", file=sys.stderr)
-                    return 2
-                print(f"repro-lint: fixed {path} "
-                      f"({len(result.accepted)} rewrite(s) proven)",
-                      file=sys.stderr)
-    if args.catalog:
-        reports.extend(_catalog_reports(
-            args.nprocs, extra_vars, targets=targets, advise=advise,
-            fixes=fixes if do_fix else None))
+        if not response.get("ok"):
+            print(f"repro-lint: daemon error: {response.get('error')}",
+                  file=sys.stderr)
+            return 2
 
-    sys.stdout.write(render_reports(reports, args.format,
-                                    fixes=fixes or None))
-    return _aggregate_exit(reports, args.fail_on)
+    if response.get("error"):
+        print(response["error"], file=sys.stderr)
+    stats = response.get("stats")
+    if stats:
+        print(f"repro-lint: {stats['units_total']} unit(s): "
+              f"{stats['units_from_cache']} cached, "
+              f"{stats['units_executed']} executed with --jobs "
+              f"{stats['jobs']} in {stats['wall_s']:.2f}s "
+              f"(hit rate {stats['hit_rate']:.0%})", file=sys.stderr)
+        if args.stats_out is not None:
+            with open(args.stats_out, "w", encoding="utf-8") as fh:
+                json.dump(stats, fh, indent=2)
+                fh.write("\n")
+    sys.stdout.write(response.get("output", ""))
+    return int(response.get("exit_code", 2))
 
 
-def _aggregate_exit(reports: list[LintReport], fail_on: str) -> int:
-    """The merged run's exit status under ``--fail-on``.
+def run_request(request: LintRequest, *, jobs: int = 1,
+                cache: ResultCache | None = None,
+                executor: Executor | None = None,
+                fix: str | None = None) -> dict:
+    """Run one lint request end to end → response dict.
 
-    One aggregation point for every path — sequential, sharded,
-    daemon: a single error-severity finding in *any* report (any
-    shard) fails the whole run.
+    The one ``repro-lint`` driver: the CLI calls it in-process and the
+    daemon (:class:`~repro.lintserve.LintDaemon`) calls it per ``lint``
+    request, so every path reads, lints, renders and aggregates the
+    exit code with this code. The response is the daemon's wire form,
+    ``{"ok", "exit_code", "output", "error", "stats"}``.
+
+    A usage error (``nprocs < 1``, a missing input) exits 2 before any
+    file is linted or rewritten. ``fix`` runs the proof-carrying fix
+    engine on every parsed file: ``"dry-run"`` adds its ledger to the
+    output, ``"apply"`` also writes accepted rewrites back in place.
+    ``--fail-on`` aggregates over *all* reports: one error-severity
+    finding in any file or unit fails the run.
     """
-    failing = any(r.errors for r in reports)
-    if fail_on == "warning":
-        failing = failing or any(r.warnings for r in reports)
-    return 1 if failing else 0
-
-
-def _service_main(args: "argparse.Namespace",
-                  extra_vars: dict[str, int],
-                  targets: "list[Target] | None",
-                  advise: bool, do_fix: bool) -> int:
-    """The ``--jobs`` / ``--cache-dir`` path: sharded + memoized lint.
-
-    Semantics match the sequential loop exactly (missing file: exit 2
-    before any output; parse error: CI000 report; same render, same
-    exit aggregation) — only the execution strategy differs.
-    """
-    from repro.lintserve import ResultCache, lint_sources
-
+    if request.nprocs < 1:
+        return _usage_error(
+            f"nprocs must be at least 1, got {request.nprocs}")
+    targets = [Target.parse(request.target)] if request.target else None
     sources: list[tuple[str, str]] = []
-    for path in args.inputs:
+    for path in request.inputs:
         try:
-            with open(path, encoding="utf-8") as fh:
+            with open(os.path.join(request.cwd, path),
+                      encoding="utf-8") as fh:
                 sources.append((path, fh.read()))
         except OSError as exc:
-            print(f"repro-lint: error: {exc}", file=sys.stderr)
-            return 2
-    cache = (ResultCache(args.cache_dir)
-             if args.cache_dir is not None else None)
-    jobs = args.jobs if args.jobs is not None else 1
-    reports, stats = lint_sources(
-        sources, nprocs=args.nprocs, extra_vars=extra_vars or None,
-        targets=targets, advise=advise, jobs=jobs, cache=cache)
+            return _usage_error(str(exc))
 
+    reports, stats = lint_sources(
+        sources, nprocs=request.nprocs,
+        extra_vars=request.vars or None, targets=targets,
+        advise=request.advise, jobs=jobs, cache=cache,
+        executor=executor)
     fixes: dict[str, FixResult] = {}
-    if do_fix:
+    if fix is not None:
         for path, source in sources:
             try:
                 parse_program(source)
             except ReproError:
                 continue  # the report already carries CI000
-            result = fix_source(source, nprocs=args.nprocs,
-                                extra_vars=extra_vars or None)
+            result = fix_source(source, nprocs=request.nprocs,
+                                extra_vars=request.vars or None)
             fixes[path] = result
-            if args.fix and result.changed:
+            if fix == "apply" and result.changed:
                 try:
-                    with open(path, "w", encoding="utf-8") as fh:
+                    with open(os.path.join(request.cwd, path), "w",
+                              encoding="utf-8") as fh:
                         fh.write(result.source)
                 except OSError as exc:
-                    print(f"repro-lint: error: {exc}", file=sys.stderr)
-                    return 2
+                    return _usage_error(str(exc))
                 print(f"repro-lint: fixed {path} "
                       f"({len(result.accepted)} rewrite(s) proven)",
                       file=sys.stderr)
-    if args.catalog:
+    if request.catalog:
         reports.extend(_catalog_reports(
-            args.nprocs, extra_vars, targets=targets, advise=advise,
-            fixes=fixes if do_fix else None))
+            request.nprocs, request.vars, targets=targets,
+            advise=request.advise,
+            fixes=fixes if fix is not None else None))
 
-    print(f"repro-lint: {stats.units_total} unit(s): "
-          f"{stats.units_from_cache} cached, "
-          f"{stats.units_executed} executed with --jobs {jobs} "
-          f"in {stats.wall_s:.2f}s "
-          f"(hit rate {stats.hit_rate:.0%})", file=sys.stderr)
-    if args.stats_out is not None:
-        import json as _json
-        payload = stats.as_dict()
-        if cache is not None:
-            payload["salt"] = cache.salt
-        with open(args.stats_out, "w", encoding="utf-8") as fh:
-            _json.dump(payload, fh, indent=2)
-            fh.write("\n")
-    sys.stdout.write(render_reports(reports, args.format,
-                                    fixes=fixes or None))
-    return _aggregate_exit(reports, args.fail_on)
+    failing = any(r.errors for r in reports)
+    if request.fail_on == "warning":
+        failing = failing or any(r.warnings for r in reports)
+    payload = stats.as_dict()
+    if cache is not None:
+        payload["salt"] = cache.salt
+    return {"ok": True, "exit_code": 1 if failing else 0,
+            "output": render_reports(reports, request.format,
+                                     fixes=fixes or None),
+            "error": "", "stats": payload}
+
+
+def _usage_error(message: str) -> dict:
+    """The response for a request that lints nothing (exit 2)."""
+    return {"ok": True, "exit_code": 2, "output": "",
+            "error": f"repro-lint: error: {message}", "stats": {}}
 
 
 def _daemon_main(args: "argparse.Namespace",
                  parser: argparse.ArgumentParser) -> int:
     """``--serve`` / ``--shutdown``: run or stop the lint daemon."""
-    from repro.lintserve import LintDaemon, request_over_socket
-
     if args.socket is None:
         parser.error("--serve/--shutdown require --socket PATH")
     if args.shutdown:
@@ -447,7 +453,7 @@ def _daemon_main(args: "argparse.Namespace",
             return 2
         return 0 if response.get("ok") else 2
     daemon = LintDaemon(args.socket,
-                        jobs=args.jobs if args.jobs else 1,
+                        jobs=args.jobs or 1,
                         cache_dir=args.cache_dir)
     print(f"repro-lint: serving on {args.socket} "
           f"(jobs={daemon.jobs}, cache={daemon.cache.root})",
@@ -457,51 +463,6 @@ def _daemon_main(args: "argparse.Namespace",
     except KeyboardInterrupt:
         pass
     return 0
-
-
-def _client_main(args: "argparse.Namespace",
-                 parser: argparse.ArgumentParser) -> int:
-    """``--socket`` without ``--serve``: lint via the warm daemon."""
-    import os
-
-    from repro.lintserve import LintRequest, request_over_socket
-
-    if args.fix or args.fix_dry_run:
-        print("repro-lint: error: --fix/--fix-dry-run are not "
-              "supported over the daemon (run them locally)",
-              file=sys.stderr)
-        return 2
-    if not args.inputs and not args.catalog:
-        parser.print_usage(sys.stderr)
-        print("repro-lint: error: no inputs (give files or --catalog)",
-              file=sys.stderr)
-        return 2
-    try:
-        extra_vars = _parse_vars(args.var)
-    except ValueError as exc:
-        print(f"repro-lint: error: {exc}", file=sys.stderr)
-        return 2
-    request = LintRequest(
-        inputs=list(args.inputs), cwd=os.getcwd(),
-        nprocs=args.nprocs, vars=extra_vars,
-        target=(_TARGETS[args.target].value
-                if args.target else None),
-        advise=args.advise, catalog=args.catalog, format=args.format,
-        fail_on=args.fail_on)
-    try:
-        response = request_over_socket(args.socket, request.as_dict())
-    except OSError as exc:
-        print(f"repro-lint: error: cannot reach daemon at "
-              f"{args.socket}: {exc}", file=sys.stderr)
-        return 2
-    if not response.get("ok"):
-        print(f"repro-lint: daemon error: {response.get('error')}",
-              file=sys.stderr)
-        return 2
-    if response.get("error"):
-        print(response["error"], file=sys.stderr)
-    sys.stdout.write(response.get("output", ""))
-    return int(response.get("exit_code", 2))
 
 
 def _render_fix(result: FixResult) -> str:

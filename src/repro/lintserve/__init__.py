@@ -3,11 +3,15 @@
 The paper's directive toolchain is only useful at scale if whole-tree
 verification is cheap enough to run on every commit. Verification
 cost is per (program, nprocs, target) and embarrassingly parallel, so
-this package turns the one-shot ``repro-lint`` CLI into a service:
+this package turns the one-shot ``repro-lint`` CLI into a service.
+Every ``repro-lint`` run, in-process or through the daemon, goes
+through :func:`lint_sources`:
 
 * :mod:`~repro.lintserve.scheduler` fans (files × targets) work units
-  over a ``ProcessPoolExecutor`` and merges results deterministically
-  — ``--jobs N`` output is byte-identical to the sequential path;
+  inline or over a ``ProcessPoolExecutor`` and merges results
+  deterministically — the output does not depend on ``--jobs N`` and
+  is byte-identical to the reference,
+  :func:`~repro.core.analysis.lint.lint_program` per file;
 * :mod:`~repro.lintserve.cache` memoizes unit results on disk, keyed
   by content hash + an analysis-version salt, so re-lints of an
   unchanged tree cost one hash lookup per unit (``--cache-dir``);
@@ -30,7 +34,6 @@ from repro.lintserve.cache import (
 from repro.lintserve.daemon import (
     LintDaemon,
     LintRequest,
-    execute_request,
     request_over_socket,
 )
 from repro.lintserve.merge import assemble_file_report
@@ -51,7 +54,6 @@ __all__ = [
     "UnitSpec",
     "analysis_salt",
     "assemble_file_report",
-    "execute_request",
     "lint_sources",
     "pool_map",
     "request_over_socket",

@@ -24,12 +24,14 @@ Protocol (newline-delimited JSON, one request per connection)::
     -> {"op": "shutdown"}
     <- {"ok": true}
 
-``output`` is byte-identical to what ``repro-lint`` would print for
-the same request (the daemon runs the same scheduler/merge path), and
-``exit_code`` follows the same ``--fail-on`` aggregation, so a client
-can transparently substitute the daemon for a local run. The CLI
-client lives in :func:`repro.core.pragma.__main__.main_lint`
-(``repro-lint --socket PATH ...``).
+Each ``lint`` request runs :func:`repro.core.pragma.__main__.run_request`,
+the same driver a local ``repro-lint`` runs in-process, so ``output``
+and ``exit_code`` are those of a local run of the same request and a
+client can transparently substitute the daemon for it. The CLI client
+is :func:`repro.core.pragma.__main__.main_lint`
+(``repro-lint --socket PATH ...``). A line that is not a JSON object
+gets an ``{"ok": false, "error": "bad request: ..."}`` answer; the
+daemon keeps serving.
 """
 
 from __future__ import annotations
@@ -42,12 +44,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
-from repro.core.clauses import Target
 from repro.lintserve.cache import MemoryCache, ResultCache
-from repro.lintserve.scheduler import lint_sources
 
-__all__ = ["LintDaemon", "LintRequest", "execute_request",
-           "request_over_socket"]
+__all__ = ["LintDaemon", "LintRequest", "request_over_socket"]
 
 #: recv buffer size for the line reader.
 _BUFSIZE = 65536
@@ -99,54 +98,6 @@ class LintRequest:
                 "fail_on": self.fail_on}
 
 
-def execute_request(request: LintRequest, *, jobs: int = 1,
-                    cache: ResultCache | None = None,
-                    executor: Executor | None = None) -> dict:
-    """Run one lint request end to end → response dict.
-
-    Shared by the daemon and the in-process ``--jobs/--cache-dir``
-    CLI path; mirrors the sequential CLI's semantics exactly: missing
-    files exit 2 before any report output, ``--fail-on`` aggregates
-    over *all* merged reports (one error in any shard fails the run).
-    """
-    # Imported here: the CLI module imports this module back (lazily)
-    # for --serve, and entry-point import order must stay acyclic.
-    from repro.core.pragma.__main__ import (
-        _catalog_reports,
-        render_reports,
-    )
-
-    targets = [Target.parse(request.target)] if request.target else None
-    sources: list[tuple[str, str]] = []
-    for path in request.inputs:
-        resolved = path
-        if request.cwd and not os.path.isabs(path):
-            resolved = os.path.join(request.cwd, path)
-        try:
-            with open(resolved, encoding="utf-8") as fh:
-                sources.append((path, fh.read()))
-        except OSError as exc:
-            return {"ok": True, "exit_code": 2, "output": "",
-                    "error": f"repro-lint: error: {exc}", "stats": {}}
-
-    reports, stats = lint_sources(
-        sources, nprocs=request.nprocs,
-        extra_vars=request.vars or None, targets=targets,
-        advise=request.advise, jobs=jobs, cache=cache,
-        executor=executor)
-    if request.catalog:
-        reports.extend(_catalog_reports(
-            request.nprocs, request.vars, targets=targets,
-            advise=request.advise))
-
-    output = render_reports(reports, request.format)
-    failing = any(r.errors for r in reports)
-    if request.fail_on == "warning":
-        failing = failing or any(r.warnings for r in reports)
-    return {"ok": True, "exit_code": 1 if failing else 0,
-            "output": output, "error": "", "stats": stats.as_dict()}
-
-
 class LintDaemon:
     """The ``--serve`` loop: warm pool + cache behind a unix socket."""
 
@@ -168,8 +119,11 @@ class LintDaemon:
             self._executor = ProcessPoolExecutor(max_workers=self.jobs)
         return self._executor
 
-    def handle(self, request: dict) -> tuple[dict, bool]:
+    def handle(self, request: object) -> tuple[dict, bool]:
         """Dispatch one decoded request → (response, keep_serving)."""
+        if not isinstance(request, dict):
+            return {"ok": False, "error": "bad request: expected a "
+                    f"JSON object, got {type(request).__name__}"}, True
         op = request.get("op")
         if op == "ping":
             return {"ok": True, "pid": os.getpid(),
@@ -183,8 +137,11 @@ class LintDaemon:
         if op == "shutdown":
             return {"ok": True}, False
         if op == "lint":
+            # Imported here: the CLI module imports this package.
+            from repro.core.pragma.__main__ import run_request
+
             try:
-                response = execute_request(
+                response = run_request(
                     LintRequest.from_dict(request), jobs=self.jobs,
                     cache=self.cache, executor=self._pool())
             except Exception as exc:  # surface, don't kill the daemon
@@ -225,7 +182,9 @@ class LintDaemon:
                         continue
                     try:
                         request = json.loads(line)
-                    except json.JSONDecodeError as exc:
+                    except (ValueError, RecursionError) as exc:
+                        # Malformed JSON, bytes that are not UTF-8, or
+                        # nesting past the decoder's recursion limit.
                         _send(conn, {"ok": False,
                                      "error": f"bad request: {exc}"})
                         continue
@@ -256,7 +215,10 @@ def _read_line(conn: socket.socket) -> bytes:
 
 
 def _send(conn: socket.socket, response: dict) -> None:
-    conn.sendall(json.dumps(response).encode() + b"\n")
+    try:
+        conn.sendall(json.dumps(response).encode() + b"\n")
+    except OSError:
+        pass  # the client hung up before reading its answer
 
 
 def request_over_socket(socket_path: str | Path,

@@ -10,13 +10,13 @@ results can cross process boundaries and live in the on-disk cache
   and the cache stores);
 * :func:`assemble_file_report` — the dicts of one file's units →
   :class:`~repro.core.analysis.lint.LintReport`, using the *same*
-  collapse/suppress/sort functions the sequential
-  :func:`~repro.core.analysis.lint.lint_program` path runs.
+  collapse/suppress/sort functions the reference
+  :func:`~repro.core.analysis.lint.lint_program` runs.
 
 Because diagnostics round-trip exactly
 (:func:`~repro.core.analysis.codes.diagnostic_from_dict`) and the
 merge functions are shared, a report assembled from sharded (or
-cached) units renders byte-identically to the sequential path —
+cached) units renders byte-identically to ``lint_program``'s —
 ``tests/lintserve/test_determinism.py`` pins this over the whole
 examples tree in JSON and SARIF.
 """
@@ -69,8 +69,8 @@ def _deserialize_diags(entries: Any) -> list[Diagnostic]:
 def parse_error_report(path: str, error: dict) -> LintReport:
     """The report for a file the parser rejected (CI000).
 
-    Mirrors the sequential CLI path exactly: a bare report (default
-    target list) carrying one CI000 diagnostic at the parser's line.
+    A bare report (default target list) carrying one CI000
+    diagnostic at the parser's line.
     """
     report = LintReport(path=path)
     report.diagnostics.append(make(

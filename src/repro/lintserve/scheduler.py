@@ -15,7 +15,8 @@ file order, *executed* in any order (``ProcessPoolExecutor.map`` over
 the cache misses), and *merged* strictly in generation order by
 :mod:`repro.lintserve.merge` — completion order never influences the
 report, which is what keeps ``--jobs N`` output byte-identical to the
-sequential path.
+reference, :func:`~repro.core.analysis.lint.lint_program` run on each
+file in turn.
 
 Every executed unit's wall time rides along in its result dict (and
 in the cache), so the lint benchmark can reconstruct modeled pool
@@ -106,7 +107,7 @@ def run_unit(spec: UnitSpec) -> dict:
 
     A parse failure is a *result*, not an exception — every unit of a
     broken file reports the same ``parse_error`` and the merge turns
-    it into the CI000 report, exactly like the sequential CLI.
+    it into one CI000 report.
     """
     t0 = time.perf_counter()
     extra_vars = dict(spec.extra_vars) or None

@@ -170,6 +170,14 @@ def test_lint_missing_file(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("nprocs", ["0", "-3"])
+def test_lint_nprocs_below_one_is_usage_error(ring_file, nprocs, capsys):
+    assert main_lint([ring_file, "--nprocs", nprocs]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "repro-lint: error: nprocs must be at least 1" in captured.err
+
+
 # ---------------------------------------------------------------------------
 # repro-lint: targets, --advise and the proof-carrying --fix
 
@@ -261,6 +269,13 @@ def test_lint_fix_rewrites_file_in_place(slow_file, capsys):
     # the fixed file now lints clean of CI100 even with --advise
     assert main_lint([slow_file, "--advise"]) == 0
     assert "CI100" not in capsys.readouterr().out
+
+
+def test_lint_fix_missing_input_rewrites_nothing(slow_file, capsys):
+    # Every input is read before any file is linted or rewritten.
+    assert main_lint([slow_file, "/nonexistent/lint.c", "--fix"]) == 2
+    assert "fixed" not in capsys.readouterr().err
+    assert open(slow_file).read() == SLOW_RING
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """The warm unix-socket daemon: protocol, equivalence, lifecycle."""
 
+import json
+import socket
 import threading
 
 import pytest
@@ -48,17 +50,18 @@ def test_ping_stats_and_unknown_op(daemon):
 
 
 def test_daemon_output_matches_local_run(daemon, ring_file, capsys):
-    local_rc = main_lint([ring_file, "--format", "json"])
-    local_out = capsys.readouterr().out
+    for fmt in ("text", "json", "sarif"):
+        for flags in ([], ["--advise"], ["--catalog", "--var", "px=3"]):
+            argv = [ring_file, "--format", fmt, *flags]
+            local_rc = main_lint(argv)
+            local_out = capsys.readouterr().out
+            assert main_lint(argv + ["--socket", daemon]) == local_rc == 0
+            assert capsys.readouterr().out == local_out, argv
+    # A repeated request is served from the daemon's warm cache.
     request = LintRequest(inputs=[ring_file], format="json")
     response = request_over_socket(daemon, request.as_dict())
-    assert response["ok"]
-    assert response["exit_code"] == local_rc == 0
-    assert response["output"] == local_out
-    # Second identical request is served from the daemon's warm cache.
-    again = request_over_socket(daemon, request.as_dict())
-    assert again["output"] == local_out
-    assert again["stats"]["units_executed"] == 0
+    assert response["ok"] and response["exit_code"] == 0
+    assert response["stats"]["units_executed"] == 0
 
 
 def test_client_cli_round_trip(daemon, ring_file, capsys):
@@ -85,6 +88,54 @@ def test_missing_file_is_exit_2(daemon):
     response = request_over_socket(daemon, request.as_dict())
     assert response["exit_code"] == 2
     assert "error" in response["error"]
+
+
+def test_stats_out_writes_the_daemons_stats(daemon, ring_file, tmp_path,
+                                           capsys):
+    out = tmp_path / "stats.json"
+    assert main_lint([ring_file, "--socket", daemon,
+                      "--stats-out", str(out)]) == 0
+    capsys.readouterr()
+    stats = json.loads(out.read_text())
+    assert stats["units_total"] == 4
+    assert stats["cache"]["root"] == "<memory>"
+
+
+def test_nprocs_below_one_is_exit_2(daemon, ring_file):
+    request = LintRequest(inputs=[ring_file], nprocs=0)
+    response = request_over_socket(daemon, request.as_dict())
+    assert response["ok"] and response["exit_code"] == 2
+    assert response["output"] == ""
+    assert response["error"].startswith("repro-lint: error: nprocs")
+
+
+def _send_raw(sock_path, line):
+    client = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    client.settimeout(10)
+    with client:
+        client.connect(sock_path)
+        client.sendall(line + b"\n")
+        return json.loads(client.makefile("rb").readline())
+
+
+@pytest.mark.parametrize("line", [b"[1]", b'"x"', b"null", b"3",
+                                  b'"\xff"', b"[" * 100_000],
+                         ids=["list", "string", "null", "number",
+                              "not_utf8", "deep_nesting"])
+def test_bad_request_is_answered_and_daemon_keeps_serving(daemon, line):
+    response = _send_raw(daemon, line)
+    assert not response["ok"]
+    assert response["error"].startswith("bad request: ")
+    assert request_over_socket(daemon, {"op": "ping"})["ok"]
+
+
+def test_client_hanging_up_early_does_not_kill_daemon(daemon, ring_file):
+    client = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    client.connect(daemon)
+    request = LintRequest(inputs=[ring_file], advise=True)
+    client.sendall(json.dumps(request.as_dict()).encode() + b"\n")
+    client.close()  # gone before the lint finishes and is answered
+    assert request_over_socket(daemon, {"op": "ping"}, timeout=60)["ok"]
 
 
 def test_second_daemon_on_live_socket_refuses(daemon):

@@ -1,18 +1,25 @@
-"""Byte-identity of the sequential, sharded and memoized lint paths.
+"""Byte-identity of every ``repro-lint`` path with the reference lint.
 
-The service's core contract: ``--jobs 8`` and a warm ``--cache-dir``
-rerun must render exactly the bytes the sequential path renders — over
+The service's core contract: the default run, ``--jobs 8`` and a cold
+and a warm ``--cache-dir`` run must render exactly the bytes of the
+reference — :func:`~repro.core.analysis.lint.lint_program` run on each
+file in turn, a CI000 report for a file that does not parse — over
 the whole examples tree, including the seeded race counterexamples
 (``races/``) and the minimized generated corpus (``generated/``). Plus
 the incremental contract: editing one file re-executes exactly that
 file's units.
 """
 
+import json
 from pathlib import Path
 
 import pytest
 
-from repro.core.pragma.__main__ import main_lint
+from repro.core.analysis.codes import make
+from repro.core.analysis.lint import LintReport, lint_program
+from repro.core.pragma import parse_program
+from repro.core.pragma.__main__ import main_lint, render_reports
+from repro.errors import ReproError
 from repro.lintserve import ResultCache, lint_sources
 
 EXAMPLES = Path(__file__).resolve().parents[2] / "examples" / "pragmas"
@@ -31,17 +38,37 @@ def _run(argv, capsys):
     return rc, capsys.readouterr().out
 
 
+def reference_lint(paths):
+    """The per-file ``lint_program`` loop, independent of lintserve."""
+    reports = []
+    for path in paths:
+        source = Path(path).read_text(encoding="utf-8")
+        try:
+            program = parse_program(source)
+        except ReproError as exc:
+            report = LintReport(path=path)
+            report.diagnostics.append(
+                make("CI000", getattr(exc, "line", None) or 0, str(exc)))
+            reports.append(report)
+            continue
+        reports.append(lint_program(program, path=path))
+    return reports
+
+
 @pytest.mark.parametrize("fmt", ["json", "sarif"])
 def test_parallel_and_cached_output_identical(example_files, tmp_path,
                                               capsys, fmt):
+    reports = reference_lint(example_files)
+    assert any(r.errors for r in reports)  # bad/ + races/ carry errors
+    reference = render_reports(reports, fmt)
     base = example_files + ["--format", fmt]
-    rc0, sequential = _run(base, capsys)
+    rc0, default = _run(base, capsys)
     rc1, parallel = _run(base + ["--jobs", "8"], capsys)
     cached = base + ["--jobs", "2", "--cache-dir", str(tmp_path / fmt)]
     rc2, cold = _run(cached, capsys)
     rc3, warm = _run(cached, capsys)
-    assert rc0 == rc1 == rc2 == rc3 == 1  # bad/ + races/ carry errors
-    assert sequential == parallel == cold == warm
+    assert rc0 == rc1 == rc2 == rc3 == 1
+    assert default == parallel == cold == warm == reference
 
 
 def test_warm_run_is_fully_memoized(example_files, tmp_path, capsys):
@@ -51,11 +78,20 @@ def test_warm_run_is_fully_memoized(example_files, tmp_path, capsys):
     capsys.readouterr()
     main_lint(argv)
     capsys.readouterr()
-    import json
     stats = json.loads((tmp_path / "stats.json").read_text())
     assert stats["units_executed"] == 0
     assert stats["hit_rate"] == 1.0
     assert stats["units_total"] == len(example_files) * 4
+
+
+def test_stats_out_on_the_default_path(tmp_path, capsys):
+    out = tmp_path / "stats.json"
+    assert main_lint([str(EXAMPLES / "ring.c"),
+                      "--stats-out", str(out)]) == 0
+    capsys.readouterr()
+    stats = json.loads(out.read_text())
+    assert stats["files"] == 1 and stats["units_total"] == 4
+    assert stats["units_executed"] == 4 and stats["jobs"] == 1
 
 
 def test_editing_one_file_relints_exactly_its_units(tmp_path):
