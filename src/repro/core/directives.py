@@ -42,7 +42,6 @@ from repro.core.clauses import (
     DEFAULT_TARGET,
     ClauseSet,
     SyncPlacement,
-    Target,
 )
 from repro.core.lower.base import get_backend
 from repro.core.region import PendingComm, RegionState
@@ -84,7 +83,7 @@ class CommParameters:
         self._state = RegionState.of(self.env)
         self._state.on_region_enter(self.env, self.place_sync)
         self._state.stack.append(self)
-        if self.env.engine.trace is not None:
+        if self.env.engine.profile is not None:
             self.env.trace("dir.region_enter",
                            place_sync=self.place_sync.value)
         return self
@@ -102,7 +101,7 @@ class CommParameters:
             # handles so the error propagates undisturbed.
             return
         state.on_region_exit(self.env, self.pending, self.place_sync)
-        if self.env.engine.trace is not None:
+        if self.env.engine.profile is not None:
             self.env.trace("dir.region_exit")
 
 
@@ -167,8 +166,12 @@ class CommP2P:
         else:
             local_arrays = rarrays if recvs_here else []
         if not local_arrays:
-            # A bystander: nothing to flush and nothing to post.
-            return self._done(target, count, 0, 0)
+            # A bystander: nothing to flush and nothing to post, so no
+            # post span either; a point event records the instance.
+            if env.engine.profile is not None:
+                env.trace("dir.p2p", target=target.value, count=count,
+                          sends=0, recvs=0)
+            return self
         # All unsynchronized communication on this rank is pending, not
         # just the innermost region's: carried sync from earlier
         # regions (place_sync deferral) and enclosing regions of a
@@ -215,14 +218,6 @@ class CommP2P:
                 bytes=sum(h.nbytes for h in (*my_sends, *my_recvs)),
                 **({} if label is None else {"label": label}))
             pending.note_window(env)
-        return self._done(target, count, len(my_sends), len(my_recvs))
-
-    def _done(self, target: Target, count: int, sends: int,
-              recvs: int) -> "CommP2P":
-        """Trace the instance (when tracing is on) and return it."""
-        if self.env.engine.trace is not None:
-            self.env.trace("dir.p2p", target=target.value, count=count,
-                           sends=sends, recvs=recvs)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:

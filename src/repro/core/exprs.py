@@ -17,8 +17,8 @@ names against its own bindings and runs the code object. ``**`` and
 64-bit ``int`` range before computing it, and arithmetic faults
 (division by zero, overflow, a negative shift count) become
 :class:`~repro.errors.PragmaSyntaxError` like any other unevaluable
-expression — hostile input gets a diagnostic, never a hang or a
-traceback.
+expression, as does a constant that is not a number — hostile input
+gets a diagnostic, never a hang or a traceback.
 """
 
 from __future__ import annotations
@@ -186,6 +186,15 @@ def _compile(expr: str) -> _Compiled:
                                  f"clause expression {expr!r} uses "
                                  f"unsupported syntax "
                                  f"({type(node).__name__})")
+            if isinstance(node, ast.Constant) \
+                    and not isinstance(node.value, (int, float)):
+                # C clause arithmetic has numbers only; a string
+                # operand would reach int() or a huge repeat.
+                return _Compiled(None, tuple(checked), names,
+                                 f"clause expression {expr!r} cannot be "
+                                 f"evaluated: only numeric constants are "
+                                 f"allowed, got a "
+                                 f"{type(node.value).__name__} constant")
             if isinstance(node, ast.Name):
                 checked.append(node.id)
         guarded = ast.fix_missing_locations(_Guard().visit(tree))

@@ -120,6 +120,10 @@ def main(argv: list[str] | None = None) -> int:
                         help="world size for --analyze pattern "
                              "evaluation (default 8)")
     args = parser.parse_args(argv)
+    if args.nprocs < 1:
+        print(f"error: nprocs must be at least 1, got {args.nprocs}",
+              file=sys.stderr)
+        return 2
 
     try:
         with open(args.input, encoding="utf-8") as fh:

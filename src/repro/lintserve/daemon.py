@@ -32,6 +32,12 @@ is :func:`repro.core.pragma.__main__.main_lint`
 (``repro-lint --socket PATH ...``). A line that is not a JSON object
 gets an ``{"ok": false, "error": "bad request: ..."}`` answer; the
 daemon keeps serving.
+
+The daemon answers one connection at a time, so each connection is
+bounded: its request line must arrive within :data:`READ_DEADLINE_S`
+and stay under :data:`MAX_REQUEST_BYTES`. A client that connects and
+stays silent, or sends an oversized line, gets a ``bad request``
+answer and is closed, and the next client is served.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ from __future__ import annotations
 import json
 import os
 import socket
+import time
 from concurrent.futures import Executor, ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -50,6 +57,11 @@ __all__ = ["LintDaemon", "LintRequest", "request_over_socket"]
 
 #: recv buffer size for the line reader.
 _BUFSIZE = 65536
+#: Seconds a connection may take to deliver its request line (and,
+#: once answered, to take the answer).
+READ_DEADLINE_S = 10.0
+#: The longest request line the daemon reads, in bytes.
+MAX_REQUEST_BYTES = 1 << 20
 
 
 @dataclass
@@ -177,17 +189,20 @@ class LintDaemon:
             while serving:
                 conn, _ = server.accept()
                 with conn:
-                    line = _read_line(conn)
-                    if not line:
-                        continue
                     try:
+                        line = _read_line(conn)
+                        if not line:
+                            continue
                         request = json.loads(line)
                     except (ValueError, RecursionError) as exc:
-                        # Malformed JSON, bytes that are not UTF-8, or
-                        # nesting past the decoder's recursion limit.
+                        # A silent or oversized connection, malformed
+                        # JSON, bytes that are not UTF-8, or nesting
+                        # past the decoder's recursion limit.
                         _send(conn, {"ok": False,
                                      "error": f"bad request: {exc}"})
                         continue
+                    except OSError:
+                        continue  # the client vanished mid-request
                     response, serving = self.handle(request)
                     _send(conn, response)
         finally:
@@ -202,19 +217,39 @@ class LintDaemon:
 
 
 def _read_line(conn: socket.socket) -> bytes:
-    """Read up to the first newline (requests are one JSON line)."""
+    """Read up to the first newline (requests are one JSON line).
+
+    Raises ``ValueError`` when the line is not complete within
+    :data:`READ_DEADLINE_S` or grows past :data:`MAX_REQUEST_BYTES`.
+    """
+    deadline = time.monotonic() + READ_DEADLINE_S
     chunks = []
+    size = 0
     while True:
-        data = conn.recv(_BUFSIZE)
+        remaining = deadline - time.monotonic()
+        try:
+            if remaining <= 0:  # a trickling client runs out too
+                raise socket.timeout
+            conn.settimeout(remaining)
+            data = conn.recv(_BUFSIZE)
+        except socket.timeout:
+            raise ValueError(
+                f"no request line within {READ_DEADLINE_S:g} s") from None
         if not data:
             break
         chunks.append(data)
-        if b"\n" in data:
+        size += len(data)
+        if b"\n" in data or size > MAX_REQUEST_BYTES:
             break
-    return b"".join(chunks).split(b"\n", 1)[0]
+    line = b"".join(chunks).split(b"\n", 1)[0]
+    if len(line) > MAX_REQUEST_BYTES:
+        raise ValueError(
+            f"request line exceeds {MAX_REQUEST_BYTES} bytes")
+    return line
 
 
 def _send(conn: socket.socket, response: dict) -> None:
+    conn.settimeout(READ_DEADLINE_S)
     try:
         conn.sendall(json.dumps(response).encode() + b"\n")
     except OSError:

@@ -249,8 +249,6 @@ class Comm:
         if eager:
             op.completion = self.env.now  # buffered; sender is done
         matching.post_send(self.world, self.env, op)
-        self.env.trace("mpi.send_post", dest=op.dst, tag=tag,
-                       nbytes=nbytes, eager=eager)
         return op
 
     def _post_recv(self, buf: Any, source: int, tag: int, *,

@@ -1,9 +1,11 @@
 """Span-based profiling of simulated runs (``repro.profiling``).
 
-Where :mod:`repro.sim.tracing` records flat point events, this package
-records **spans** — begin/end intervals in virtual time carrying
-directive, sync-plan and message identity — and builds the analyses the
-paper's performance story needs on top of them:
+This package holds the simulator's one event log. A profile records
+**spans** — begin/end intervals in virtual time carrying directive,
+sync-plan and message identity — plus capped zero-length **point
+events** for happenings no span covers (``Env.trace``: blocks,
+unblocks, other library calls). On the spans it builds the analyses the
+paper's performance story needs:
 
 * :mod:`repro.profiling.spans` — the :class:`Profile` recorder the
   engine and the communication libraries emit into
@@ -17,6 +19,8 @@ paper's performance story needs on top of them:
   dynamic happens-before edges (reusing the verifier's
   :mod:`repro.core.analysis.hb` graph machinery);
 * :mod:`repro.profiling.cli` — the ``repro-trace`` command line tool.
+
+:func:`repro.sim.comm_matrix` reads the same ``message`` spans.
 
 See ``docs/PROFILING.md`` for the span schema and metric definitions.
 """

@@ -6,7 +6,9 @@ trace-event format's *JSON object* flavor:
 * process 0 (``ranks``) holds per-rank activity: one thread per rank,
   ``X`` complete events for compute/post/sync/window/barrier/stall
   spans and the recovery runtime's detect/retry/recovery spans, ``i``
-  instant events for crash/checkpoint/restore marks;
+  instant events for crash/checkpoint/restore marks and, with category
+  ``point``, for the profile's point events (blocks, unblocks, other
+  library calls);
 * process 1 (``network``) holds deliveries: one thread per *source*
   rank, ``X`` events for message and notify spans (named by transport),
   so in-flight traffic reads as lanes under the ranks that produced it.
@@ -85,8 +87,9 @@ def chrome_trace(profile: Profile) -> dict[str, Any]:
     for span in profile:
         if span.t1 is None:  # pragma: no cover - finish() closes these
             continue
-        if span.kind in _INSTANT:
-            cat = "fault" if span.kind == "crash" else "recovery"
+        if span.point or span.kind in _INSTANT:
+            cat = ("point" if span.point
+                   else "fault" if span.kind == "crash" else "recovery")
             events.append({"ph": "i", "name": span.kind, "cat": cat,
                            "pid": 0, "tid": span.rank, "ts": _us(span.t0),
                            "s": "t", "args": _args(span)})

@@ -174,8 +174,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     did_something = False
     if args.export_chrome is not None:
         export_chrome(profile, args.export_chrome)
+        spans = sum(1 for s in profile if not s.point)
         print(f"wrote {args.export_chrome} "
-              f"({len(profile)} spans, {profile.nranks} ranks)")
+              f"({spans} spans, {profile.nranks} ranks)")
         did_something = True
     if args.critical_path:
         print(critical_path(profile).render())

@@ -39,12 +39,26 @@ recovery   the bridge between an aborted attempt and its restart in a
 Spans are recorded by the rank that owns the interval except
 ``message``/``notify``, which are attributed to the *destination* rank
 (the side whose progress they gate).
+
+A **point event** is a zero-length entry with ``point=True``, recorded
+through :meth:`repro.sim.process.Env.trace` for library and engine
+happenings no span covers: ``block``/``unblock`` (with the wait
+``reason``), ``mpi.recv_post``, ``rma.get``, ``shmem.get``,
+``shmem.amo``, ``dir.region_enter``/``dir.region_exit``,
+``dir.dependent_flush`` and ``dir.p2p`` on a bystander rank. The
+analyses read spans by kind and never a point event; only point events
+count against :data:`POINT_EVENT_CAP`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Any, Iterator
+
+#: Point events one profile keeps. Later ones are counted in
+#: ``Profile.dropped_events`` instead, after one ``trace.truncated``
+#: marker; spans are never dropped.
+POINT_EVENT_CAP = 200_000
 
 
 @dataclass
@@ -57,6 +71,9 @@ class Span:
     t0: float
     t1: float | None = None
     attrs: dict[str, Any] = field(default_factory=dict)
+    #: True for a point event (:meth:`Profile.point`), which no
+    #: analysis reads.
+    point: bool = False
 
     @property
     def duration(self) -> float:
@@ -64,23 +81,34 @@ class Span:
         return 0.0 if self.t1 is None else self.t1 - self.t0
 
     def __str__(self) -> str:
-        end = "open" if self.t1 is None else f"{self.t1:.9f}"
+        if self.point:
+            when = f"{self.t0:.9f}"
+        else:
+            end = "open" if self.t1 is None else f"{self.t1:.9f}"
+            when = f"{self.t0:.9f}..{end}"
         extra = " ".join(f"{k}={v}" for k, v in sorted(self.attrs.items()))
-        return (f"[{self.t0:.9f}..{end}] rank {self.rank}: "
-                f"{self.kind} {extra}".rstrip())
+        return f"[{when}] rank {self.rank}: {self.kind} {extra}".rstrip()
 
 
 class Profile:
-    """An append-only span log for one simulated run.
+    """An append-only span and point-event log for one simulated run.
 
     Opt-in via ``Engine(profile=True)``; the collected profile rides on
-    :attr:`repro.sim.engine.RunResult.profile`. Unlike
-    :class:`repro.sim.tracing.Trace` this log is unbounded — profiling
-    is an explicit request, and the analyses need the whole run.
+    :attr:`repro.sim.engine.RunResult.profile`. Spans are unbounded —
+    profiling is an explicit request, and the analyses need the whole
+    run. Point events stop at :data:`POINT_EVENT_CAP`: the prefix is
+    kept, ``truncated`` becomes true, one ``trace.truncated`` point
+    event (at the first dropped event) marks the cut, and every later
+    point event is counted in ``dropped_events``.
     """
 
     def __init__(self) -> None:
         self.spans: list[Span] = []
+        #: Point events recorded (the truncation marker excluded).
+        self.points = 0
+        self.truncated = False
+        #: Point events rejected after the cap was hit.
+        self.dropped_events = 0
         self._open: dict[int, Span] = {}
         self._labels: dict[int, list[str]] = {}
         #: Per-rank virtual finish times, filled by the engine when the
@@ -115,6 +143,22 @@ class Profile:
     def instant(self, rank: int, kind: str, t: float, **attrs: Any) -> int:
         """Record a zero-length span (e.g. a crash)."""
         return self.add(rank, kind, t, t, **attrs)
+
+    def point(self, rank: int, kind: str, t: float, **attrs: Any) -> None:
+        """Record a point event (dropped and counted past the cap)."""
+        if self.points >= POINT_EVENT_CAP:
+            if not self.truncated:
+                self.truncated = True
+                self.spans.append(Span(
+                    len(self.spans), rank, "trace.truncated", t, t,
+                    {"maxlen": POINT_EVENT_CAP,
+                     "note": "event cap reached; later events dropped"},
+                    point=True))
+            self.dropped_events += 1
+            return
+        self.points += 1
+        self.spans.append(Span(len(self.spans), rank, kind, t, t, attrs,
+                               point=True))
 
     def finish(self, finish_times: list[float]) -> None:
         """Close any still-open spans at their rank's finish time.
@@ -184,7 +228,7 @@ class Profile:
                    default=0.0)
 
     def render(self, limit: int | None = None) -> str:
-        """Human-readable dump of the first ``limit`` spans."""
+        """Human-readable dump of the first ``limit`` entries."""
         spans = self.spans if limit is None else self.spans[:limit]
         lines = [str(s) for s in spans]
         if limit is not None and len(self.spans) > limit:

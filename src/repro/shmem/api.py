@@ -159,7 +159,6 @@ class Shmem:
         completion = self.env.now + self._tp.wire_time(nbytes) + extra
         self._pending.append(completion)
         self.env.engine.stats.count_message(SHMEM, nbytes)
-        self.env.trace("shmem.put", pe=pe, nbytes=nbytes, call=name)
         profile = self.env.engine.profile
         if profile is not None:
             profile.add(pe, "message", post_t0, completion,

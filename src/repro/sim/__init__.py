@@ -17,6 +17,11 @@ Key properties:
 * **Measurable** — virtual time advances only through explicit compute
   modelling and communication cost models, so "time" is a property of
   the algorithm, not of the host machine.
+* **Observable** — ``Engine(profile=True)`` records one event log, the
+  :class:`repro.profiling.Profile`: spans for timed activity and point
+  events for everything else (:meth:`Env.trace`).
+  :func:`comm_matrix` and the :mod:`repro.profiling` analyses read it;
+  without ``profile=True`` nothing is recorded.
 """
 
 from repro.sim.commstats import CommMatrix, comm_matrix
@@ -25,7 +30,6 @@ from repro.sim.legacy import SeedEngine
 from repro.sim.process import Env
 from repro.sim.stats import SimStats
 from repro.sim.sync import Rendezvous
-from repro.sim.tracing import Trace, TraceEvent
 
 __all__ = [
     "CommMatrix",
@@ -36,6 +40,4 @@ __all__ = [
     "Env",
     "SimStats",
     "Rendezvous",
-    "Trace",
-    "TraceEvent",
 ]

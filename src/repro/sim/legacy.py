@@ -12,7 +12,7 @@ It exists for two jobs:
   both engines and records the wall-clock speedup of the heap/handoff
   scheduler;
 * determinism regression tests assert that both engines produce
-  identical virtual-time results (traces, finish times, makespans) —
+  identical virtual-time results (profiles, finish times, makespans) —
   the heap refactor is a pure performance change.
 
 Do not use it for anything else; it shares the public API of

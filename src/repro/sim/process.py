@@ -80,8 +80,6 @@ class Env:
         if seconds > 0:
             self._engine.note_progress()
         self._engine.stats.compute_seconds += seconds
-        if label is not None:
-            self._engine.trace_event("compute", seconds=seconds, label=label)
         self._engine.yield_(self._proc)
 
     def advance(self, seconds: float) -> None:
@@ -127,8 +125,14 @@ class Env:
     # Introspection
 
     def trace(self, kind: str, **fields: Any) -> None:
-        """Emit a trace event attributed to this rank at its clock."""
-        self._engine.trace_event(kind, **fields)
+        """Record a point event on this rank at its clock.
+
+        A no-op unless the engine profiles (``Engine(profile=True)``);
+        see :meth:`repro.profiling.Profile.point`.
+        """
+        profile = self._engine.profile
+        if profile is not None:
+            profile.point(self._proc.rank, kind, self._proc.now, **fields)
 
     def _check_current(self) -> None:
         if self._engine._current is not self._proc:

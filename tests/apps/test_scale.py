@@ -27,11 +27,11 @@ class TestScale:
         for m in (2, 4):
             res = run_app(AppConfig(
                 n_lsms=m, group_size=8, t=16, tc=2, wl_steps=2,
-                variant="directive", model=gemini_model(), trace=True))
+                variant="directive", model=gemini_model(), profile=True))
             dir_msgs = sum(
-                1 for e in res.trace
-                if e.kind == "mpi.send_post" and e.fields.get("tag", -1)
-                is not None and e.fields.get("nbytes") == 24)
+                1 for e in res.profile.of_kind("message")
+                if e.attrs.get("transport") == "mpi2s"
+                and e.attrs.get("nbytes") == 24)
             counts[m] = dir_msgs
         assert counts[4] == 2 * counts[2]
 

@@ -16,9 +16,9 @@ from repro.netmodel import uniform_model, zero_model
 from repro.sim import Engine
 
 
-def run(nprocs, fn, *, model=None, trace=False):
+def run(nprocs, fn, *, model=None, profile=False):
     model = model or zero_model()
-    eng = Engine(nprocs, trace=trace)
+    eng = Engine(nprocs, profile=profile)
 
     def main(env):
         mpi.init(env, model)      # fix the machine model for all targets
@@ -370,10 +370,10 @@ class TestTargets:
                           target="TARGET_COMM_SHMEM"):
                 pass
 
-        _, eng = run(2, prog, trace=True)
-        puts = eng.trace.of_kind("shmem.put")
+        _, eng = run(2, prog, profile=True)
+        puts = eng.profile.of_kind("message")
         assert len(puts) == 1
-        assert puts[0].fields["call"] == "shmem_double_put"
+        assert puts[0].attrs["call"] == "shmem_double_put"
 
 
 class TestOverlap:
@@ -434,9 +434,9 @@ class TestDependentInstances:
                     pass
             return dst[0]
 
-        res, eng = run(2, prog, trace=True)
+        res, eng = run(2, prog, profile=True)
         assert res.values[1] == 2.0
-        assert len(eng.trace.of_kind("dir.dependent_flush")) >= 1
+        assert len(eng.profile.of_kind("dir.dependent_flush")) >= 1
 
 
 class TestSyncPlacement:
@@ -481,11 +481,11 @@ class TestSyncPlacement:
             comm_flush(env)
             return [d[0] for d in dsts]
 
-        res, eng = run(2, prog, trace=True)
+        res, eng = run(2, prog, profile=True)
         assert res.values[1] == [0.0, 1.0, 2.0]
         # The three regions consolidated into a single sync event per
         # participating rank.
-        syncs = eng.trace.of_kind("dir.sync")
+        syncs = eng.profile.of_kind("sync")
         assert len(syncs) == 2  # one per rank
 
     def test_end_adj_chain_broken_by_normal_region(self):

@@ -60,6 +60,18 @@ class TestEvaluate:
         with pytest.raises(PragmaSyntaxError, match="cannot parse"):
             evaluate("rank +", {"rank": 0})
 
+    @pytest.mark.parametrize("expr", [
+        "('xy'*3)", "'x'", "b'x'", "None", "...", "1j", "rank + 'a'"])
+    def test_non_numeric_constants_rejected(self, expr):
+        # Rejected at compile time, before any operand is computed.
+        with pytest.raises(PragmaSyntaxError,
+                           match="only numeric constants"):
+            evaluate(expr, {"rank": 0})
+
+    def test_numeric_constants_allowed(self):
+        assert evaluate("rank + 1.5", {"rank": 1}) == 2.5
+        assert evaluate("2e3", {}) == 2000.0
+
     @given(st.integers(min_value=0, max_value=63),
            st.integers(min_value=1, max_value=64))
     def test_property_ring_expression_in_range(self, rank, nprocs):

@@ -58,6 +58,14 @@ def test_missing_file(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("nprocs", ["0", "-3"])
+def test_nprocs_below_one_is_usage_error(ring_file, nprocs, capsys):
+    assert main([ring_file, "--analyze", "--nprocs", nprocs]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: nprocs must be at least 1, got {nprocs}" in captured.err
+
+
 def test_translation_error_reported(tmp_path, capsys):
     f = tmp_path / "broken.c"
     f.write_text(BROKEN)

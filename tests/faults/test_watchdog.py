@@ -64,6 +64,23 @@ class TestVirtualStall:
             eng.run(main)
         assert ei.value.report  # carries the per-rank progress report
 
+    def test_profiled_report_names_the_last_event(self):
+        def main(env):
+            env.trace("poll.start", round=env.rank)
+            while True:
+                env.yield_()
+
+        eng = Engine(2, profile=True,
+                     watchdog=Watchdog(wall_timeout=None, stall_events=200))
+        with pytest.raises(SimHangError) as ei:
+            eng.run(main)
+        # Rank 0 spins first and never yields to rank 1, which has no
+        # entry yet.
+        report = ei.value.report.splitlines()
+        assert report[0].endswith(
+            "last event: [0.000000000] rank 0: poll.start round=0")
+        assert report[1] == "  rank 1: ready t=0.000000000"
+
     def test_progress_resets_the_stall_counter(self):
         """Long but *productive* polling loops stay under the limit:
         compute() in between resets the no-progress count."""

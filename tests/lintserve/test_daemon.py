@@ -1,13 +1,16 @@
 """The warm unix-socket daemon: protocol, equivalence, lifecycle."""
 
 import json
+import select
 import socket
 import threading
+import time
 
 import pytest
 
 from repro.core.pragma.__main__ import main_lint
 from repro.lintserve import LintDaemon, LintRequest, request_over_socket
+from repro.lintserve import daemon as daemon_mod
 
 
 @pytest.fixture
@@ -127,6 +130,59 @@ def test_bad_request_is_answered_and_daemon_keeps_serving(daemon, line):
     assert not response["ok"]
     assert response["error"].startswith("bad request: ")
     assert request_over_socket(daemon, {"op": "ping"})["ok"]
+
+
+def test_idle_client_does_not_block_the_next(daemon, monkeypatch):
+    monkeypatch.setattr(daemon_mod, "READ_DEADLINE_S", 0.5)
+    idle = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    idle.settimeout(10)
+    with idle:
+        idle.connect(daemon)  # connects and never sends a line
+        assert request_over_socket(daemon, {"op": "ping"}, timeout=10)["ok"]
+        response = json.loads(idle.makefile("rb").readline())
+    assert not response["ok"]
+    assert response["error"] == "bad request: no request line within 0.5 s"
+
+
+def test_trickling_client_runs_out_of_time(daemon, monkeypatch):
+    monkeypatch.setattr(daemon_mod, "READ_DEADLINE_S", 0.5)
+    client = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    client.settimeout(10)
+    start = time.monotonic()
+    with client:
+        client.connect(daemon)
+        # One byte every 50 ms: no single recv waits out the deadline.
+        while time.monotonic() - start < 5:
+            try:
+                client.sendall(b" ")
+            except OSError:
+                break
+            if select.select([client], [], [], 0.05)[0]:
+                break
+        response = json.loads(client.makefile("rb").readline())
+    assert time.monotonic() - start < 5
+    assert response["error"] == "bad request: no request line within 0.5 s"
+    assert request_over_socket(daemon, {"op": "ping"}, timeout=10)["ok"]
+
+
+def test_oversized_request_is_refused(daemon, monkeypatch):
+    monkeypatch.setattr(daemon_mod, "MAX_REQUEST_BYTES", 1024)
+    response = _send_raw(daemon, b"[" + b" " * 4096 + b"]")
+    assert response == {"ok": False, "error":
+                        "bad request: request line exceeds 1024 bytes"}
+    assert request_over_socket(daemon, {"op": "ping"}, timeout=10)["ok"]
+
+
+def test_oversized_line_without_newline_is_refused(daemon, monkeypatch):
+    monkeypatch.setattr(daemon_mod, "MAX_REQUEST_BYTES", 1024)
+    client = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    client.settimeout(10)
+    with client:
+        client.connect(daemon)
+        client.sendall(b"x" * 2048)  # no newline, and never finished
+        response = json.loads(client.makefile("rb").readline())
+    assert response["error"] == "bad request: request line exceeds 1024 bytes"
+    assert request_over_socket(daemon, {"op": "ping"}, timeout=10)["ok"]
 
 
 def test_client_hanging_up_early_does_not_kill_daemon(daemon, ring_file):

@@ -16,7 +16,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[2]
 BAD = ROOT / "examples" / "pragmas" / "bad"
-PROBES = ["pow_overflow", "shift_overflow", "div_zero", "shift_negative"]
+PROBES = ["pow_overflow", "shift_overflow", "div_zero", "shift_negative",
+          "string_repeat"]
 
 _LINT = """
 import sys

@@ -102,3 +102,12 @@ class TestTraceEventSchema:
         for e in syncs:
             assert isinstance(e["args"]["send_keys"], list)
             json.dumps(e["args"])
+
+    def test_point_events_are_rank_instants(self):
+        profile = _run_profiled()
+        doc = chrome_trace(profile)
+        points = [e for e in doc["traceEvents"] if e.get("cat") == "point"]
+        assert len(points) == sum(1 for s in profile if s.point)
+        assert "mpi.recv_post" in {e["name"] for e in points}
+        for e in points:
+            assert e["ph"] == "i" and e["pid"] == 0 and e["s"] == "t"

@@ -1,23 +1,24 @@
-"""Communication-matrix analysis over traces."""
+"""Communication-matrix analysis over profiled runs."""
 
 import numpy as np
 import pytest
 
 from repro import mpi, shmem
 from repro.netmodel import zero_model
+from repro.profiling import aggregate
 from repro.sim import Engine, comm_matrix
 
 
 def traced_run(nprocs, fn):
     model = zero_model()
-    eng = Engine(nprocs, trace=True)
+    eng = Engine(nprocs, profile=True)
 
     def main(env):
         comm = mpi.init(env, model)
         return fn(env, comm)
 
     eng.run(main)
-    return comm_matrix(eng.trace, nprocs), eng
+    return comm_matrix(eng.profile, nprocs), eng
 
 
 class TestCommMatrix:
@@ -79,7 +80,7 @@ class TestCommMatrix:
 
     def test_shmem_puts_counted(self):
         model = zero_model()
-        eng = Engine(2, trace=True)
+        eng = Engine(2, profile=True)
 
         def main(env):
             mpi.init(env, model)
@@ -90,9 +91,28 @@ class TestCommMatrix:
             sh.barrier_all()
 
         eng.run(main)
-        m = comm_matrix(eng.trace, 2)
+        m = comm_matrix(eng.profile, 2)
         assert m.messages[0, 1] == 1
         assert m.volume[0, 1] == 32
+
+    def test_rma_puts_counted(self):
+        """A plain MPI_Put is a message span, seen by both analyses."""
+        def prog(env, comm):
+            win = mpi.Win.create(comm, np.zeros(4))
+            if env.rank == 0:
+                win.Put(np.ones(4), target_rank=1)
+            win.Fence()
+
+        m, eng = traced_run(2, prog)
+        assert m.messages[0, 1] == 1
+        assert m.volume[0, 1] == 32
+        assert m.total_messages == 1
+        (put,) = eng.profile.of_kind("message")
+        assert put.rank == 1
+        assert put.attrs["call"] == "MPI_Put"
+        ranks = aggregate(eng.profile).ranks
+        assert (ranks[0].msgs_sent, ranks[0].bytes_sent) == (1, 32)
+        assert (ranks[1].msgs_recv, ranks[1].bytes_recv) == (1, 32)
 
     def test_subcommunicator_traffic_mapped_to_world_ranks(self):
         """Matrix rows/columns are world ranks, even for group comms."""
@@ -120,9 +140,9 @@ class TestCommMatrix:
         assert "hotspot: 0 -> 1" in out
 
     def test_empty_trace(self):
-        eng = Engine(2, trace=True)
+        eng = Engine(2, profile=True)
         eng.run(lambda env: None)
-        m = comm_matrix(eng.trace, 2)
+        m = comm_matrix(eng.profile, 2)
         assert m.total_messages == 0
         assert m.small_message_fraction() == 0.0
         assert m.hotspots() == []

@@ -42,14 +42,17 @@ class TestRingEquivalence:
 
     def test_traces_identical(self):
         """Event-by-event: same kinds, ranks and times in the same
-        order — the dispatch sequence itself is unchanged."""
-        new_eng = Engine(8, trace=True)
-        old_eng = SeedEngine(8, trace=True)
+        order — the dispatch sequence itself is unchanged. Every profile
+        entry counts, spans and point events (block/unblock) alike."""
+        new_eng = Engine(8, profile=True)
+        old_eng = SeedEngine(8, profile=True)
         new_eng.run(_ring_main)
         old_eng.run(_ring_main)
-        new_ev = [(e.time, e.rank, e.kind) for e in new_eng.trace]
-        old_ev = [(e.time, e.rank, e.kind) for e in old_eng.trace]
+        new_ev = [(e.t0, e.rank, e.kind) for e in new_eng.profile]
+        old_ev = [(e.t0, e.rank, e.kind) for e in old_eng.profile]
         assert new_ev == old_ev
+        kinds = {kind for _, _, kind in new_ev}
+        assert {"block", "unblock", "message", "compute"} <= kinds
 
 
 class TestWlLsmsEquivalence:

@@ -288,16 +288,17 @@ def test_max_time_guard():
 
 
 def test_trace_records_compute_events():
-    eng = Engine(2, trace=True)
+    eng = Engine(2, profile=True)
 
     def prog(env):
         env.compute(1.0, label="kernel")
 
     eng.run(prog)
-    events = eng.trace.of_kind("compute")
+    events = eng.profile.of_kind("compute")
     assert len(events) == 2
     assert {e.rank for e in events} == {0, 1}
-    assert all(e.fields["label"] == "kernel" for e in events)
+    assert all(e.attrs["label"] == "kernel" for e in events)
+    assert all(e.duration == 1.0 for e in events)
 
 
 def test_stats_accumulate_compute_seconds():
